@@ -69,7 +69,7 @@ main(int argc, char **argv)
     auto total_start = std::chrono::steady_clock::now();
     for (CodecKind kind : kinds) {
         // A fresh compressor per codec: distinct (pfn, version) keys
-        // keep the memo cold, so every page runs the real codec.
+        // keep its size table cold, so every page runs the real codec.
         PageCompressor compressor(synth);
         auto codec = makeCodec(kind);
         AppId uid = apps.front().uid;
@@ -78,8 +78,8 @@ main(int argc, char **argv)
         std::uint64_t compressed_bytes = 0;
         for (std::size_t i = 0; i < pages; ++i) {
             PageRef ref{PageKey{uid, static_cast<Pfn>(i)}, 0};
-            compressed_bytes += compressor.compressedSizeOne(
-                ref, *codec, std::size_t{4096});
+            compressed_bytes +=
+                compressor.size({&ref, 1}, *codec, std::size_t{4096});
         }
         std::chrono::duration<double> wall =
             std::chrono::steady_clock::now() - start;

@@ -138,27 +138,8 @@ AriadneScheme::onBackground(AppId uid)
     // is compressed too — at SmallSize, so the relaunch decompresses
     // it fast and PreDecomp chains hide most of the latency.
     Tick before = ctx.cpu.grandTotal();
-    // Drain the hot list first, then size the whole sweep in one
-    // batched materialize+compress pass before any unit is formed
-    // (sizes are pure functions of page content, so pre-computing
-    // them is behaviour-identical to sizing unit by unit).
-    std::vector<PageMeta *> victims;
-    victims.reserve(hotOrg.listSize(uid, Hotness::Hot));
     while (PageMeta *victim = hotOrg.popVictim(uid, Hotness::Hot))
-        victims.push_back(victim);
-    if (!victims.empty()) {
-        std::size_t chunk = units.chunkFor(Hotness::Hot);
-        std::vector<PageRef> refs;
-        refs.reserve(victims.size());
-        for (PageMeta *p : victims)
-            refs.push_back(PageRef{p->key, p->version});
-        std::vector<std::size_t> sizes;
-        ctx.compressor.compressedSizeEach(refs, *codec, chunk, sizes);
-        for (std::size_t i = 0; i < victims.size(); ++i) {
-            compressUnitPresized({victims[i]}, Hotness::Hot,
-                                 /*synchronous=*/false, sizes[i]);
-        }
-    }
+        compressUnit({victim}, Hotness::Hot, /*synchronous=*/false);
     bgReclaimNs += ctx.cpu.grandTotal() - before;
 }
 
@@ -239,28 +220,12 @@ AriadneScheme::compressUnit(std::vector<PageMeta *> batch, Hotness level,
     panicIf(batch.empty(), "empty compression batch");
     std::size_t chunk = units.chunkFor(level);
 
-    std::size_t csize;
-    if (batch.size() == 1) {
-        PageRef ref{batch[0]->key, batch[0]->version};
-        csize = ctx.compressor.compressedSizeOne(ref, *codec, chunk);
-    } else {
-        std::vector<PageRef> refs;
-        refs.reserve(batch.size());
-        for (PageMeta *p : batch)
-            refs.push_back(PageRef{p->key, p->version});
-        csize = ctx.compressor.compressedSizeMany(refs, *codec, chunk);
-    }
-    compressUnitPresized(std::move(batch), level, synchronous, csize);
-}
-
-void
-AriadneScheme::compressUnitPresized(std::vector<PageMeta *> batch,
-                                    Hotness level, bool synchronous,
-                                    std::size_t csize)
-{
-    panicIf(batch.empty(), "empty compression batch");
+    std::vector<PageRef> refs;
+    refs.reserve(batch.size());
+    for (PageMeta *p : batch)
+        refs.push_back(PageRef{p->key, p->version});
+    std::size_t csize = ctx.compressor.size(refs, *codec, chunk);
     AppId uid = batch.front()->key.uid;
-    std::size_t chunk = units.chunkFor(level);
     std::size_t in_bytes = batch.size() * pageSize;
 
     if (!ensureZpoolSpace(csize, synchronous)) {

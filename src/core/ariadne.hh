@@ -116,12 +116,6 @@ class AriadneScheme : public SwapScheme, public HotnessAware
     void compressUnit(std::vector<PageMeta *> batch, Hotness level,
                       bool synchronous);
 
-    /** compressUnit with the unit's compressed size already known
-     * (batch sizing paths pre-compute it via compressedSizeEach). */
-    void compressUnitPresized(std::vector<PageMeta *> batch,
-                              Hotness level, bool synchronous,
-                              std::size_t csize);
-
     /** Spill compressed units to flash until @p csize fits. */
     bool ensureZpoolSpace(std::size_t csize, bool synchronous);
 

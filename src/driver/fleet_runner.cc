@@ -10,7 +10,7 @@
 #include "mem/page_arena.hh"
 #include "report/report_merger.hh"
 #include "sim/log.hh"
-#include "swap/compress_memo.hh"
+#include "swap/page_compressor.hh"
 #include "swap/scheme_registry.hh"
 #include "telemetry/progress.hh"
 #include "telemetry/telemetry.hh"
@@ -144,7 +144,7 @@ FleetRunner::runSession(std::size_t index) const
 
 SessionResult
 FleetRunner::runSession(std::size_t index, TraceRecorder *recorder,
-                        PageArena *arena, CompressionMemo *memo) const
+                        PageArena *arena, SizeTable *sizes) const
 {
     c_sessions.add();
     telemetry::ScopedTimer timer(d_session);
@@ -155,7 +155,7 @@ FleetRunner::runSession(std::size_t index, TraceRecorder *recorder,
     result.seed = scenario.sessionSeed(index);
 
     MobileSystem sys(scenario.systemConfig(index),
-                     source->sessionProfiles(index), arena, memo);
+                     source->sessionProfiles(index), arena, sizes);
     SessionDriver driver(sys);
 
     if (recorder) {
@@ -304,13 +304,11 @@ FleetRunner::runPartialInto(report::FleetPartial &partial,
         // nothing. Sessions only read/write their own arena, so the
         // aggregate stays bit-identical to private-arena runs.
         PageArena workerArena;
-        // The cross-session compression memo rides along with the
-        // arena: same worker-lifetime scope, same bit-identity
-        // guarantee (memoized sizes equal fresh compressions), gated
-        // by the spec's compress_memo knob.
-        std::unique_ptr<CompressionMemo> workerMemo;
-        if (scenario.compressMemo)
-            workerMemo = std::make_unique<CompressionMemo>();
+        // The compressed-size table rides along with the arena: same
+        // worker-lifetime scope, same bit-identity guarantee (stored
+        // sizes equal fresh compressions). With compress_memo = off
+        // each session sizes through a table of its own instead.
+        SizeTable workerSizes;
         for (;;) {
             std::size_t i = next.fetch_add(1);
             if (i >= end)
@@ -320,8 +318,9 @@ FleetRunner::runPartialInto(report::FleetPartial &partial,
                 room.wait(lk,
                           [&] { return i < fold_frontier + window; });
             }
-            SessionResult s = runSession(i, recorder, &workerArena,
-                                         workerMemo.get());
+            SessionResult s = runSession(
+                i, recorder, &workerArena,
+                scenario.compressMemo ? &workerSizes : nullptr);
             std::size_t folded = 0;
             {
                 std::unique_lock<std::mutex> lk(mu);

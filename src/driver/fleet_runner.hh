@@ -43,7 +43,7 @@
 namespace ariadne
 {
 class PageArena;
-class CompressionMemo;
+class SizeTable;
 }
 
 namespace ariadne::driver
@@ -218,12 +218,12 @@ class FleetRunner
      * MobileSystem on. Fleet workers pass their thread's arena so
      * page-metadata slabs (and the SoA scan arrays) are allocated
      * once per worker and recycled across every session it runs;
-     * nullptr makes the session own a private arena. @p memo is the
-     * worker's cross-session compression memo on the same terms
-     * (nullptr = no memoization; reports are identical either way). */
+     * nullptr makes the session own a private arena. @p sizes is the
+     * worker's compressed-size table on the same terms (nullptr keeps
+     * sizes within the session; reports are identical either way). */
     SessionResult runSession(std::size_t index, TraceRecorder *recorder,
                              PageArena *arena,
-                             CompressionMemo *memo = nullptr) const;
+                             SizeTable *sizes = nullptr) const;
     FleetResult runFleet(std::size_t fleet, unsigned threads,
                          bool keep_sessions,
                          TraceRecorder *recorder) const;

@@ -207,12 +207,11 @@ struct ScenarioSpec
     /** Sketch buffer size (`sketch_k = N`, sketch mode only). */
     std::size_t sketchK = PercentileSketch::defaultK;
     /**
-     * Cross-session compression memoization (`compress_memo =
-     * on|off`, default on): fleet workers reuse compressed sizes of
-     * recurring page contents across the sessions they run. Purely a
-     * speed knob — compression is deterministic in the page bytes, so
-     * reports are byte-identical either way; `off` exists to measure
-     * the win and to bound worker memory on tiny machines.
+     * Scope of the compressed-size table (`compress_memo = on|off`,
+     * default on): `on` gives each fleet worker one table shared by
+     * the sessions it runs, `off` gives each session its own. Purely
+     * a speed knob — sizes are exact either way, so reports are
+     * byte-identical; `off` exists to measure the cross-session win.
      */
     bool compressMemo = true;
 

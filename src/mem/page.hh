@@ -13,6 +13,7 @@
 #define ARIADNE_MEM_PAGE_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "compress/codec.hh"
 #include "sim/types.hh"
@@ -101,6 +102,21 @@ class PageContentSource
     /** Fill @p out (pageSize bytes) with the page's contents. */
     virtual void materialize(const PageKey &key, std::uint32_t version,
                              MutableBytes out) const = 0;
+
+    /**
+     * Append to @p out every input besides (uid, pfn, version) that
+     * decides the bytes of @p uid's pages, such that any two sources
+     * appending equal bytes for a uid materialize identical pages for
+     * every (pfn, version). Returns false if the source cannot name
+     * them; sizes of that uid's pages are then never shared beyond
+     * this source.
+     */
+    virtual bool
+    contentInputs(AppId /*uid*/,
+                  std::vector<std::uint8_t> & /*out*/) const
+    {
+        return false;
+    }
 };
 
 } // namespace ariadne

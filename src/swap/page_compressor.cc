@@ -1,5 +1,8 @@
 #include "swap/page_compressor.hh"
 
+#include <algorithm>
+
+#include "sim/rng.hh"
 #include "telemetry/telemetry.hh"
 
 namespace ariadne
@@ -10,8 +13,6 @@ namespace
 
 telemetry::Counter c_cacheHit("compressor.cache_hit");
 telemetry::Counter c_cacheMiss("compressor.cache_miss");
-telemetry::Counter c_memoHit("compressor.memo.hit");
-telemetry::Counter c_memoMiss("compressor.memo.miss");
 
 // Per-codec host-time compression cost, indexed by CodecKind. These
 // are the only probes measuring *real* compression work (the schemes
@@ -31,35 +32,87 @@ compressProbe(CodecKind kind)
 
 } // namespace
 
-PageCompressor::Slot &
-PageCompressor::findSlot(std::uint64_t pfn_key, std::uint64_t app_key,
-                         std::uint64_t codec_key) noexcept
+std::uint64_t
+SizeTable::hash(std::span<const std::uint64_t> key) noexcept
+{
+    std::uint64_t h = key.size();
+    for (std::uint64_t w : key)
+        h = mix64(h ^ w);
+    return h;
+}
+
+std::size_t
+SizeTable::probe(std::span<const std::uint64_t> key,
+                 std::uint64_t h) const noexcept
 {
     std::size_t mask = slots.size() - 1;
-    std::size_t idx = static_cast<std::size_t>(
-                          mixSlotHash(pfn_key, app_key, codec_key)) &
-                      mask;
-    for (;;) {
-        Slot &slot = slots[idx];
-        if (slot.codecKey == emptyKey ||
-            (slot.pfnKey == pfn_key && slot.appKey == app_key &&
-             slot.codecKey == codec_key)) {
-            return slot;
+    for (std::size_t idx = h & mask;; idx = (idx + 1) & mask) {
+        const Slot &slot = slots[idx];
+        if (slot.keyAt == empty)
+            return idx;
+        const std::uint64_t *stored = keys.data() + slot.keyAt;
+        if (slot.hash == h && stored[0] == key.size() &&
+            std::equal(key.begin(), key.end(), stored + 1)) {
+            return idx;
         }
-        idx = (idx + 1) & mask;
     }
 }
 
-void
-PageCompressor::growTable()
+std::uint32_t
+SizeTable::find(std::span<const std::uint64_t> key,
+                std::uint64_t h) const noexcept
 {
-    std::vector<Slot> old = std::move(slots);
-    slots.assign(old.size() * 2, Slot{});
-    for (const Slot &slot : old) {
-        if (slot.codecKey == emptyKey)
-            continue;
-        findSlot(slot.pfnKey, slot.appKey, slot.codecKey) = slot;
+    if (slots.empty())
+        return notFound;
+    const Slot &slot = slots[probe(key, h)];
+    return slot.keyAt == empty ? notFound : slot.csize;
+}
+
+void
+SizeTable::insert(std::span<const std::uint64_t> key, std::uint64_t h,
+                  std::uint32_t csize)
+{
+    if (live == capacity || keys.size() + 1 + key.size() > maxKeyWords) {
+        // Full: start over. Tags handed out stay unique, since
+        // nextTag never rewinds.
+        slots.clear();
+        keys.clear();
+        interned.clear();
+        live = 0;
     }
+    if (slots.empty())
+        slots.resize(capacity * 2);
+    slots[probe(key, h)] =
+        Slot{h, static_cast<std::uint32_t>(keys.size()), csize};
+    keys.push_back(key.size());
+    keys.insert(keys.end(), key.begin(), key.end());
+    ++live;
+}
+
+std::uint32_t
+SizeTable::tagFor(AppId uid, const std::vector<std::uint8_t> &inputs)
+{
+    for (const Inputs &in : interned) {
+        if (in.uid == uid && in.bytes == inputs)
+            return in.tag;
+    }
+    interned.push_back(Inputs{uid, inputs, freshTag()});
+    return interned.back().tag;
+}
+
+std::uint32_t
+PageCompressor::tagFor(AppId uid)
+{
+    for (const auto &[u, tag] : tags) {
+        if (u == uid)
+            return tag;
+    }
+    std::vector<std::uint8_t> inputs;
+    std::uint32_t tag = content.contentInputs(uid, inputs)
+                            ? table.tagFor(uid, inputs)
+                            : table.freshTag();
+    tags.emplace_back(uid, tag);
+    return tag;
 }
 
 Codec::BatchState *
@@ -74,121 +127,45 @@ PageCompressor::batchStateFor(const Codec &codec)
     return slot.state.get();
 }
 
-std::uint32_t
-PageCompressor::compressMiss(const PageRef &page, const Codec &codec,
-                             std::size_t chunk_bytes)
-{
-    telemetry::ScopedTimer timer(compressProbe(codec.kind()));
-    content.materialize(page.key, page.version,
-                        {scratch.data(), scratch.size()});
-    ConstBytes bytes{scratch.data(), scratch.size()};
-    std::uint64_t fp = 0;
-    if (memo) {
-        // Content-keyed cross-session memo: the same bytes under the
-        // same (codec, chunk) compress to the same size, so a hit
-        // skips the codec. bytesCompressed() keeps meaning "ran
-        // through a codec" — a memo hit adds nothing.
-        fp = memo->fingerprint(bytes, codec.kind(), chunk_bytes);
-        std::uint32_t found = memo->lookup(fp, bytes);
-        if (found != CompressionMemo::notFound) {
-            c_memoHit.add();
-            return found;
-        }
-        c_memoMiss.add();
-    }
-    std::size_t frame_size = ChunkedFrame::compressInto(
-        codec, bytes, chunk_bytes, batchStateFor(codec), frameScratch,
-        chunkScratch);
-    compressedVolume += pageSize;
-    auto csize = static_cast<std::uint32_t>(frame_size);
-    if (memo)
-        memo->insert(fp, bytes, csize);
-    return csize;
-}
-
 std::size_t
-PageCompressor::compressedSizeOne(const PageRef &page,
-                                  const Codec &codec,
-                                  std::size_t chunk_bytes)
-{
-    std::uint64_t pfn_key = page.key.pfn;
-    std::uint64_t app_key =
-        (std::uint64_t{page.key.uid} << 32) | page.version;
-    std::uint64_t codec_key =
-        (std::uint64_t{static_cast<std::uint8_t>(codec.kind())}
-         << 32) |
-        static_cast<std::uint32_t>(chunk_bytes);
-
-    Slot &slot = findSlot(pfn_key, app_key, codec_key);
-    if (slot.codecKey != emptyKey) {
-        c_cacheHit.add();
-        ++hits;
-        return slot.csize;
-    }
-    c_cacheMiss.add();
-    ++misses;
-
-    std::uint32_t csize = compressMiss(page, codec, chunk_bytes);
-    slot = Slot{pfn_key, app_key, codec_key, csize};
-    if (++liveSlots * 10 >= slots.size() * 7)
-        growTable();
-    return csize;
-}
-
-void
-PageCompressor::compressedSizeEach(const std::vector<PageRef> &pages,
-                                   const Codec &codec,
-                                   std::size_t chunk_bytes,
-                                   std::vector<std::size_t> &sizes)
-{
-    sizes.resize(pages.size());
-    // One probe-and-compress loop for the whole batch: the codec key
-    // is loop-invariant and every miss shares the scratch buffer.
-    std::uint64_t codec_key =
-        (std::uint64_t{static_cast<std::uint8_t>(codec.kind())}
-         << 32) |
-        static_cast<std::uint32_t>(chunk_bytes);
-    for (std::size_t i = 0; i < pages.size(); ++i) {
-        const PageRef &page = pages[i];
-        std::uint64_t pfn_key = page.key.pfn;
-        std::uint64_t app_key =
-            (std::uint64_t{page.key.uid} << 32) | page.version;
-        Slot &slot = findSlot(pfn_key, app_key, codec_key);
-        if (slot.codecKey != emptyKey) {
-            c_cacheHit.add();
-            ++hits;
-            sizes[i] = slot.csize;
-            continue;
-        }
-        c_cacheMiss.add();
-        ++misses;
-        std::uint32_t csize = compressMiss(page, codec, chunk_bytes);
-        slot = Slot{pfn_key, app_key, codec_key, csize};
-        sizes[i] = csize;
-        if (++liveSlots * 10 >= slots.size() * 7)
-            growTable();
-    }
-}
-
-std::size_t
-PageCompressor::compressedSizeMany(const std::vector<PageRef> &pages,
-                                   const Codec &codec,
-                                   std::size_t chunk_bytes)
+PageCompressor::size(std::span<const PageRef> pages, const Codec &codec,
+                     std::size_t chunk_bytes)
 {
     if (pages.empty())
         return 0;
+    key.clear();
+    key.push_back(
+        (std::uint64_t{static_cast<std::uint8_t>(codec.kind())} << 32) |
+        pages.size());
+    key.push_back(chunk_bytes);
+    for (const PageRef &page : pages) {
+        key.push_back(page.key.pfn);
+        key.push_back((std::uint64_t{tagFor(page.key.uid)} << 32) |
+                      page.version);
+    }
+    std::uint64_t h = SizeTable::hash(key);
+    std::uint32_t csize = table.find(key, h);
+    if (csize != SizeTable::notFound) {
+        c_cacheHit.add();
+        ++hits;
+        return csize;
+    }
+
     telemetry::ScopedTimer timer(compressProbe(codec.kind()));
-    manyScratch.resize(pages.size() * pageSize);
+    c_cacheMiss.add();
+    ++misses;
+    unitScratch.resize(pages.size() * pageSize);
     for (std::size_t i = 0; i < pages.size(); ++i) {
         content.materialize(pages[i].key, pages[i].version,
-                            {manyScratch.data() + i * pageSize,
+                            {unitScratch.data() + i * pageSize,
                              pageSize});
     }
-    std::size_t frame_size = ChunkedFrame::compressInto(
-        codec, {manyScratch.data(), manyScratch.size()}, chunk_bytes,
-        batchStateFor(codec), frameScratch, chunkScratch);
-    compressedVolume += manyScratch.size();
-    return frame_size;
+    csize = static_cast<std::uint32_t>(ChunkedFrame::compressInto(
+        codec, {unitScratch.data(), unitScratch.size()}, chunk_bytes,
+        batchStateFor(codec), frameScratch, chunkScratch));
+    compressedVolume += unitScratch.size();
+    table.insert(key, h, csize);
+    return csize;
 }
 
 } // namespace ariadne

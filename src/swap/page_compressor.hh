@@ -1,37 +1,41 @@
 /**
  * @file
- * Page compression service with size memoization.
+ * The compressed-size oracle.
  *
  * Every compression in the simulator runs a real codec over real
- * synthesized bytes; this helper materializes page contents, invokes
- * the chunked framing layer, and returns the true compressed size.
- * Because contents are pure functions of (uid, pfn, version), single-
- * page results are memoized — schemes recompress the same hot pages
- * on every app switch, and the cache turns that into a lookup while
- * keeping the sizes exact.
+ * synthesized bytes. PageCompressor::size() is the one way to size a
+ * compressed unit of 1..N pages: the pages' contents, concatenated in
+ * order and framed with the unit's chunk size.
  *
- * The memo table is a power-of-two open-addressing flat table
- * (linear probing, splitmix64-mixed keys) rather than a node-based
- * unordered_map: one cache line per probe, no per-entry allocation.
- * Batch sizing (compressedSizeEach) reuses one content buffer across
- * the whole batch so a reclaim sweep does a single materialize +
- * codec loop instead of an allocation and dispatch per page. Every
- * codec call goes through a cached per-codec Codec::BatchState and
- * reused frame/chunk buffers, so a cache miss costs zero heap
- * allocations and no per-page hash-table refill in the LZ codecs.
+ * Sizes are looked up before any page is materialized, in a SizeTable
+ * keyed on exactly what decides the bytes: codec, chunk size, and for
+ * every page in order its (pfn, version) and a tag standing for its
+ * uid plus the uid's content inputs (PageContentSource::
+ * contentInputs). Keys hold no page bytes and a hit needs full key
+ * equality, so under the source's purity contract a hit returns what
+ * a fresh compression would: reports are byte-identical whether the
+ * table hits or not.
+ *
+ * A fleet worker owns one table beside its PageArena and hands it to
+ * every session it runs, so a unit sized in one session is a lookup in
+ * every later one. Reuse is the common case: schemes recompress the
+ * same hot pages on every app switch, and Ariadne re-forms most of its
+ * multi-page cold units session after session. With no shared table
+ * (compress_memo = off) each compressor owns one, and reuse stays
+ * within the session.
  */
 
 #ifndef ARIADNE_SWAP_PAGE_COMPRESSOR_HH
 #define ARIADNE_SWAP_PAGE_COMPRESSOR_HH
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "compress/chunked.hh"
 #include "compress/codec.hh"
 #include "mem/page.hh"
-#include "sim/stats.hh"
-#include "swap/compress_memo.hh"
 
 namespace ariadne
 {
@@ -43,65 +47,99 @@ struct PageRef
     std::uint32_t version = 0;
 };
 
-/** Materializes and compresses page contents, caching sizes. */
+/**
+ * Fixed-capacity flat table of exact compressed sizes. Keys are word
+ * strings kept in one pool; slots (linear probing) hold a key's hash,
+ * its pool offset and the size. A full table is cleared and refills,
+ * so callers see a miss, never a wrong size. Nothing is allocated
+ * before the first insert. One table per thread: no locking.
+ */
+class SizeTable
+{
+  public:
+    /** Most entries held at once; the slot array is twice this. */
+    static constexpr std::size_t capacity = std::size_t{1} << 16;
+    /** find() result for an absent key. */
+    static constexpr std::uint32_t notFound = UINT32_MAX;
+
+    /** Hash of @p key, as find() and insert() take it. */
+    static std::uint64_t hash(std::span<const std::uint64_t> key) noexcept;
+
+    /** Size stored under @p key (whose hash is @p h), or notFound. */
+    std::uint32_t find(std::span<const std::uint64_t> key,
+                       std::uint64_t h) const noexcept;
+
+    /** Store @p csize under @p key, which must be absent. */
+    void insert(std::span<const std::uint64_t> key, std::uint64_t h,
+                std::uint32_t csize);
+
+    /** One tag per distinct (@p uid, @p inputs) until the next clear. */
+    std::uint32_t tagFor(AppId uid, const std::vector<std::uint8_t> &inputs);
+
+    /** A tag no other call returns. */
+    std::uint32_t freshTag() noexcept { return nextTag++; }
+
+    /** Entries currently held. */
+    std::size_t entries() const noexcept { return live; }
+
+  private:
+    struct Slot
+    {
+        std::uint64_t hash = 0;
+        std::uint32_t keyAt = empty; //!< offset of the key in keys
+        std::uint32_t csize = 0;
+    };
+
+    struct Inputs
+    {
+        AppId uid;
+        std::vector<std::uint8_t> bytes;
+        std::uint32_t tag;
+    };
+
+    static constexpr std::uint32_t empty = UINT32_MAX;
+    /** Key pool bound (8 MiB): room for capacity 6-page units. */
+    static constexpr std::size_t maxKeyWords = capacity * 16;
+
+    /** Index of @p key's slot, or of the empty slot ending its run. */
+    std::size_t probe(std::span<const std::uint64_t> key,
+                      std::uint64_t h) const noexcept;
+
+    std::vector<Slot> slots;
+    /** Each key as its length, then its words. */
+    std::vector<std::uint64_t> keys;
+    std::size_t live = 0;
+    std::vector<Inputs> interned;
+    std::uint32_t nextTag = 0;
+};
+
+/** Sizes compressed units through a SizeTable, running codecs on misses. */
 class PageCompressor
 {
   public:
-    explicit PageCompressor(const PageContentSource &source)
-        : content(source), scratch(pageSize)
+    /** @p shared outlives this compressor; nullptr makes it own one. */
+    explicit PageCompressor(const PageContentSource &source,
+                            SizeTable *shared = nullptr)
+        : content(source), table(shared ? *shared : ownTable)
     {
-        slots.resize(initialSlots);
     }
 
-    /**
-     * Compressed size of one page framed with @p chunk_bytes chunks.
-     * Memoized on (page, codec, chunk size).
-     */
-    std::size_t compressedSizeOne(const PageRef &page,
-                                  const Codec &codec,
-                                  std::size_t chunk_bytes);
+    // table may refer to ownTable, which a copy or move would not carry.
+    PageCompressor(const PageCompressor &) = delete;
+    PageCompressor &operator=(const PageCompressor &) = delete;
 
     /**
-     * Memoized compressed size of each page in @p pages,
-     * independently (the batch equivalent of compressedSizeOne):
-     * @p sizes[i] receives the size of pages[i]. Misses share one
-     * content buffer and run in one codec loop.
+     * Compressed size of the unit @p pages: their contents
+     * concatenated in order and framed with @p chunk_bytes chunks.
+     * An empty unit is 0.
      */
-    void compressedSizeEach(const std::vector<PageRef> &pages,
-                            const Codec &codec,
-                            std::size_t chunk_bytes,
-                            std::vector<std::size_t> &sizes);
+    std::size_t size(std::span<const PageRef> pages, const Codec &codec,
+                     std::size_t chunk_bytes);
 
-    /**
-     * Compressed size of a multi-page unit: pages are concatenated in
-     * order and framed with @p chunk_bytes chunks (Ariadne's large-
-     * size cold units). Not memoized — units form once per eviction.
-     */
-    std::size_t compressedSizeMany(const std::vector<PageRef> &pages,
-                                   const Codec &codec,
-                                   std::size_t chunk_bytes);
-
-    /**
-     * Attach a content-keyed cross-session memo (see
-     * compress_memo.hh). Consulted only after the identity-keyed
-     * cache misses, so hit/miss accounting here is unchanged; a memo
-     * hit skips the codec entirely. The memo outlives this compressor
-     * (a fleet worker shares one across all its sessions). nullptr
-     * detaches.
-     */
-    void attachMemo(CompressionMemo *m) noexcept { memo = m; }
-
-    /** The attached cross-session memo, if any (gauge sampling). */
-    const CompressionMemo *
-    attachedMemo() const noexcept
-    {
-        return memo;
-    }
-
-    /** Cache hits observed (for tests and reports). */
+    /** Units answered from the table. */
     std::uint64_t cacheHits() const noexcept { return hits; }
 
-    /** Cache misses (real compressions of single pages). */
+    /** Units that ran a codec. */
     std::uint64_t cacheMisses() const noexcept { return misses; }
 
     /** Total uncompressed bytes actually run through a codec. */
@@ -112,44 +150,8 @@ class PageCompressor
     }
 
   private:
-    /**
-     * One open-addressing slot. The (codec, chunk) word doubles as
-     * the occupancy marker: codec is 8 bits and chunk is far below
-     * 2^32, so a real entry never equals emptyKey.
-     */
-    struct Slot
-    {
-        std::uint64_t pfnKey = 0;      //!< pfn
-        std::uint64_t appKey = 0;      //!< (uid << 32) | version
-        std::uint64_t codecKey = emptyKey; //!< (codec << 32) | chunk
-        std::uint32_t csize = 0;
-    };
-
-    static constexpr std::uint64_t emptyKey = UINT64_MAX;
-    /** Small enough that a fresh per-session table is a cheap zero
-     * fill; the 70%-load doubling grows it on demand. */
-    static constexpr std::size_t initialSlots = 1u << 12;
-
-    static std::uint64_t
-    mixSlotHash(std::uint64_t pfn_key, std::uint64_t app_key,
-                std::uint64_t codec_key) noexcept
-    {
-        std::uint64_t h = pfn_key * 0x9e3779b97f4a7c15ULL;
-        h ^= app_key;
-        h = (h ^ (h >> 29)) * 0xbf58476d1ce4e5b9ULL;
-        h ^= codec_key;
-        return h ^ (h >> 31);
-    }
-
-    /** Probe for (keys); returns the matching or first empty slot. */
-    Slot &findSlot(std::uint64_t pfn_key, std::uint64_t app_key,
-                   std::uint64_t codec_key) noexcept;
-
-    void growTable();
-
-    /** Materialize+compress a page into the shared scratch buffer. */
-    std::uint32_t compressMiss(const PageRef &page, const Codec &codec,
-                               std::size_t chunk_bytes);
+    /** Tag of @p uid's content inputs in the table. */
+    std::uint32_t tagFor(AppId uid);
 
     /** Cached batch state for @p codec (created on first use). */
     Codec::BatchState *batchStateFor(const Codec &codec);
@@ -162,11 +164,11 @@ class PageCompressor
     };
 
     const PageContentSource &content;
-    CompressionMemo *memo = nullptr; //!< optional, externally owned
-    std::vector<Slot> slots;
-    std::size_t liveSlots = 0;
-    std::vector<std::uint8_t> scratch;      //!< one page, reused
-    std::vector<std::uint8_t> manyScratch;  //!< multi-page units
+    SizeTable ownTable; //!< used only without a shared table
+    SizeTable &table;
+    std::vector<std::pair<AppId, std::uint32_t>> tags;
+    std::vector<std::uint64_t> key;         //!< key of the unit sized
+    std::vector<std::uint8_t> unitScratch;  //!< the unit's pages
     std::vector<std::uint8_t> frameScratch; //!< reused frame output
     std::vector<std::uint8_t> chunkScratch; //!< reused codec dst
     BatchSlot batchStates[4];

@@ -214,15 +214,8 @@ void
 ZramScheme::compressOut(PageMeta &victim, bool synchronous)
 {
     PageRef ref{victim.key, victim.version};
-    compressOutPresized(victim, synchronous,
-                        ctx.compressor.compressedSizeOne(
-                            ref, *codec, cfg.chunkBytes));
-}
-
-void
-ZramScheme::compressOutPresized(PageMeta &victim, bool synchronous,
-                                std::size_t csize)
-{
+    std::size_t csize =
+        ctx.compressor.size({&ref, 1}, *codec, cfg.chunkBytes);
     c_compressOut.add();
     if (!ensureZpoolSpace(csize, synchronous)) {
         telemetry::journeyMark(victim.key.uid, victim.key.pfn,
@@ -255,30 +248,14 @@ std::size_t
 ZramScheme::compressTail(AppState &app, std::size_t limit,
                          bool synchronous)
 {
-    // Pop the whole batch, then one batched materialize+compress
-    // sizing pass before any page is inserted (sizes are pure
-    // functions of page content, so pre-computing them is
-    // behaviour-identical to sizing victim by victim).
-    std::vector<PageMeta *> victims;
-    victims.reserve(limit);
-    while (victims.size() < limit) {
+    std::size_t done = 0;
+    for (; done < limit; ++done) {
         PageMeta *victim = app.resident.popBack();
         if (!victim)
             break;
-        victims.push_back(victim);
+        compressOut(*victim, synchronous);
     }
-    if (victims.empty())
-        return 0;
-    std::vector<PageRef> refs;
-    refs.reserve(victims.size());
-    for (PageMeta *p : victims)
-        refs.push_back(PageRef{p->key, p->version});
-    std::vector<std::size_t> sizes;
-    ctx.compressor.compressedSizeEach(refs, *codec, cfg.chunkBytes,
-                                      sizes);
-    for (std::size_t i = 0; i < victims.size(); ++i)
-        compressOutPresized(*victims[i], synchronous, sizes[i]);
-    return victims.size();
+    return done;
 }
 
 std::size_t

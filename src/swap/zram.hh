@@ -122,13 +122,8 @@ class ZramScheme : public SwapScheme
     /** Compress one victim page into the pool (or spill/lose it). */
     void compressOut(PageMeta &victim, bool synchronous);
 
-    /** compressOut with the compressed size already known (batch
-     * sizing paths pre-compute it via compressedSizeEach). */
-    void compressOutPresized(PageMeta &victim, bool synchronous,
-                             std::size_t csize);
-
-    /** Pop up to @p limit LRU-tail victims of @p app, size them in
-     * one batched pass, and compress each out. */
+    /** Pop up to @p limit LRU-tail victims of @p app and compress
+     * each out. */
     std::size_t compressTail(AppState &app, std::size_t limit,
                              bool synchronous);
 

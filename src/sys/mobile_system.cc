@@ -34,8 +34,8 @@ telemetry::DurationProbe d_relaunch("sys.relaunch");
 // Flight-recorder gauges, sampled on the timeline_interval_ms
 // cadence (sampleGauges). Values are simulated state at simulated
 // times, so summaries are thread- and shard-invariant — except the
-// compressor.memo.* rate, whose backing memo is shared across the
-// sessions one worker happens to run (volatile, like the memo
+// compressor.* rate, whose backing size table is shared across the
+// sessions one worker happens to run (volatile, like the compressor
 // counters).
 telemetry::TimelineGauge g_freePages("mem.free_pages");
 telemetry::TimelineGauge g_watermarkHeadroom("mem.watermark_headroom");
@@ -47,8 +47,6 @@ telemetry::TimelineGauge g_warmPages("hotness.warm_pages");
 telemetry::TimelineGauge g_coldPages("hotness.cold_pages");
 telemetry::TimelineGauge
     g_cacheHitPermille("compressor.cache_hit_permille");
-telemetry::TimelineGauge
-    g_memoHitPermille("compressor.memo.hit_permille");
 telemetry::TimelineGauge g_cpuBusyPermille("cpu.busy_permille");
 
 // Latency distributions of *simulated* nanoseconds, with per-app
@@ -61,7 +59,7 @@ telemetry::AppHistogram h_relaunchNs("sys.relaunch_ns");
 MobileSystem::MobileSystem(const SystemConfig &config,
                            const std::vector<AppProfile> &profiles,
                            PageArena *shared_arena,
-                           CompressionMemo *memo)
+                           SizeTable *sizes)
     : cfg(config), timing(cfg.timing), appProfiles(profiles),
       ownedArena(shared_arena ? nullptr
                               : std::make_unique<PageArena>()),
@@ -89,8 +87,7 @@ MobileSystem::MobileSystem(const SystemConfig &config,
                                        cfg.highWatermark);
 
     synth = std::make_unique<PageSynthesizer>(appProfiles);
-    pageCompressor = std::make_unique<PageCompressor>(*synth);
-    pageCompressor->attachMemo(memo);
+    pageCompressor = std::make_unique<PageCompressor>(*synth, sizes);
     makeScheme();
     reclaimDaemon = std::make_unique<Kswapd>(
         SwapContext{simClock, timing, cpuAccount, activity, *dramModel,
@@ -238,12 +235,6 @@ MobileSystem::sampleGauges()
     std::uint64_t cm = pageCompressor->cacheMisses();
     if (ch + cm)
         g_cacheHitPermille.sample(now, permille(ch, ch + cm));
-    if (const CompressionMemo *memo = pageCompressor->attachedMemo()) {
-        std::uint64_t mh = memo->hits();
-        std::uint64_t mm = memo->misses();
-        if (mh + mm)
-            g_memoHitPermille.sample(now, permille(mh, mh + mm));
-    }
     if (now)
         g_cpuBusyPermille.sample(
             now, permille(cpuAccount.grandTotal(), now));

@@ -87,17 +87,17 @@ class MobileSystem
      *        one. A fleet worker thread passes the same arena to every
      *        session it runs, so warmed-up slabs are reused instead of
      *        re-faulted per session. Must outlive this system.
-     * @param memo Optional externally owned content-keyed compression
-     *        memo, attached to this system's PageCompressor. A fleet
-     *        worker passes the same memo to every session it runs so
-     *        compressed sizes of recurring page contents carry across
-     *        sessions (reports stay byte-identical either way). Must
-     *        outlive this system.
+     * @param sizes Optional externally owned compressed-size table
+     *        for this system's PageCompressor. A fleet worker passes
+     *        the same table to every session it runs so sizes of
+     *        recurring units carry across sessions (reports stay
+     *        byte-identical either way); nullptr keeps them within
+     *        the session. Must outlive this system.
      */
     MobileSystem(const SystemConfig &config,
                  const std::vector<AppProfile> &profiles,
                  PageArena *shared_arena = nullptr,
-                 CompressionMemo *memo = nullptr);
+                 SizeTable *sizes = nullptr);
 
     /** Cold-launch an app (process creation plus first working set). */
     void appColdLaunch(AppId uid);

@@ -233,6 +233,19 @@ PageSynthesizer::poolsFor(AppId uid) const
     return it == apps.end() ? defaultPools : it->second;
 }
 
+bool
+PageSynthesizer::contentInputs(AppId uid,
+                               std::vector<std::uint8_t> &out) const
+{
+    // Registered uids seed their pools with the uid, unknown ones share
+    // the invalidApp pools: the flag keeps the two apart.
+    out.push_back(apps.count(uid) ? 1 : 0);
+    const auto &weight = poolsFor(uid).mix.weight;
+    const auto *bytes = reinterpret_cast<const std::uint8_t *>(weight.data());
+    out.insert(out.end(), bytes, bytes + sizeof(weight));
+    return true;
+}
+
 RegionType
 PageSynthesizer::pickRegionType(const AppPools &pools,
                                 double roll) const noexcept

@@ -40,6 +40,11 @@ class PageSynthesizer : public PageContentSource
     void materialize(const PageKey &key, std::uint32_t version,
                      MutableBytes out) const override;
 
+    /** Whether @p uid is registered, then its ContentMix weights bit
+     * for bit: the only inputs its pools are built from. */
+    bool contentInputs(AppId uid,
+                       std::vector<std::uint8_t> &out) const override;
+
   private:
     /** Per-application shared pools driving cross-page redundancy. */
     struct AppPools

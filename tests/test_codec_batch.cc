@@ -4,9 +4,8 @@
  * produce byte-identical output (and identical sizes) to the
  * one-page-at-a-time stateless calls, for every codec kind, in any
  * batch shape — including empty and single-page batches. This is the
- * contract that lets Zram::compressTail, Ariadne's AL-mode sizing,
- * and PageCompressor::compressedSizeEach batch freely without
- * perturbing exact-mode reports.
+ * contract that lets PageCompressor::size share one batch state
+ * across every unit it sizes without perturbing exact-mode reports.
  */
 
 #include <gtest/gtest.h>
@@ -175,9 +174,9 @@ TEST_P(CodecBatch, ChunkedFrameStatefulMatchesStateless)
 
 TEST_P(CodecBatch, CompressedSizeEachMatchesOne)
 {
-    // The PageCompressor batch-sizing path (what Zram's reclaim tail
-    // and Ariadne's AL mode call) against the memoized per-page path,
-    // with a cold cache on each side so every size is computed.
+    // A reclaim batch sized page by page through one compressor, whose
+    // buffers and batch state are shared across the batch, against a
+    // fresh compressor per page.
     PageSynthesizer synth(standardApps());
     auto codec = makeCodec(GetParam());
 
@@ -187,18 +186,19 @@ TEST_P(CodecBatch, CompressedSizeEachMatchesOne)
 
     PageCompressor batch_side(synth);
     std::vector<std::size_t> sizes;
-    batch_side.compressedSizeEach(pages, *codec, 1024, sizes);
-    ASSERT_EQ(sizes.size(), pages.size());
+    for (const PageRef &page : pages)
+        sizes.push_back(batch_side.size({&page, 1}, *codec, 1024));
 
-    PageCompressor one_side(synth);
-    for (std::size_t i = 0; i < pages.size(); ++i)
-        EXPECT_EQ(sizes[i], one_side.compressedSizeOne(pages[i],
-                                                       *codec, 1024))
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+        PageCompressor one_side(synth);
+        EXPECT_EQ(sizes[i], one_side.size({&pages[i], 1}, *codec, 1024))
             << "page " << i;
+    }
 
-    // And the batch path memoized every entry: a re-run is all hits.
+    // And the batch was remembered: a re-run is all hits.
     std::uint64_t misses_before = batch_side.cacheMisses();
-    batch_side.compressedSizeEach(pages, *codec, 1024, sizes);
+    for (std::size_t i = 0; i < pages.size(); ++i)
+        EXPECT_EQ(batch_side.size({&pages[i], 1}, *codec, 1024), sizes[i]);
     EXPECT_EQ(batch_side.cacheMisses(), misses_before);
 }
 

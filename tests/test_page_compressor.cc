@@ -1,4 +1,4 @@
-/** @file Unit tests for the size-memoizing page compressor. */
+/** @file Unit tests for the page compressor's size oracle. */
 
 #include <gtest/gtest.h>
 
@@ -16,12 +16,17 @@ class PageCompressorTest : public ::testing::Test
     PageCompressor compressor{synth};
     std::unique_ptr<Codec> lzo = makeCodec(CodecKind::Lzo);
     std::unique_ptr<Codec> lz4 = makeCodec(CodecKind::Lz4);
+
+    std::size_t
+    one(const PageRef &ref, const Codec &codec, std::size_t chunk)
+    {
+        return compressor.size({&ref, 1}, codec, chunk);
+    }
 };
 
 TEST_F(PageCompressorTest, SizesArePlausible)
 {
-    std::size_t csize = compressor.compressedSizeOne(
-        PageRef{{0, 1}, 0}, *lzo, pageSize);
+    std::size_t csize = one(PageRef{{0, 1}, 0}, *lzo, pageSize);
     EXPECT_GT(csize, 64u);
     EXPECT_LT(csize, pageSize + 256);
 }
@@ -29,9 +34,9 @@ TEST_F(PageCompressorTest, SizesArePlausible)
 TEST_F(PageCompressorTest, CacheHitsOnRepeat)
 {
     PageRef ref{{0, 1}, 0};
-    std::size_t a = compressor.compressedSizeOne(ref, *lzo, pageSize);
+    std::size_t a = one(ref, *lzo, pageSize);
     EXPECT_EQ(compressor.cacheMisses(), 1u);
-    std::size_t b = compressor.compressedSizeOne(ref, *lzo, pageSize);
+    std::size_t b = one(ref, *lzo, pageSize);
     EXPECT_EQ(a, b);
     EXPECT_EQ(compressor.cacheHits(), 1u);
     EXPECT_EQ(compressor.cacheMisses(), 1u);
@@ -40,13 +45,11 @@ TEST_F(PageCompressorTest, CacheHitsOnRepeat)
 TEST_F(PageCompressorTest, DistinctKeysMiss)
 {
     PageRef ref{{0, 1}, 0};
-    compressor.compressedSizeOne(ref, *lzo, pageSize);
-    compressor.compressedSizeOne(ref, *lzo, 1024);   // new chunk
-    compressor.compressedSizeOne(ref, *lz4, pageSize); // new codec
-    compressor.compressedSizeOne(PageRef{{0, 1}, 1}, *lzo,
-                                 pageSize); // new version
-    compressor.compressedSizeOne(PageRef{{0, 2}, 0}, *lzo,
-                                 pageSize); // new pfn
+    one(ref, *lzo, pageSize);
+    one(ref, *lzo, 1024);                     // new chunk
+    one(ref, *lz4, pageSize);                 // new codec
+    one(PageRef{{0, 1}, 1}, *lzo, pageSize); // new version
+    one(PageRef{{0, 2}, 0}, *lzo, pageSize); // new pfn
     EXPECT_EQ(compressor.cacheMisses(), 5u);
     EXPECT_EQ(compressor.cacheHits(), 0u);
 }
@@ -56,10 +59,8 @@ TEST_F(PageCompressorTest, SmallChunksGiveWorseRatio)
     // Average over pages: larger chunks never compress worse.
     std::size_t small_total = 0, large_total = 0;
     for (Pfn pfn = 0; pfn < 32; ++pfn) {
-        small_total += compressor.compressedSizeOne(
-            PageRef{{1, pfn}, 0}, *lz4, 256);
-        large_total += compressor.compressedSizeOne(
-            PageRef{{1, pfn}, 0}, *lz4, pageSize);
+        small_total += one(PageRef{{1, pfn}, 0}, *lz4, 256);
+        large_total += one(PageRef{{1, pfn}, 0}, *lz4, pageSize);
     }
     EXPECT_LT(large_total, small_total);
 }
@@ -70,25 +71,22 @@ TEST_F(PageCompressorTest, MultiPageUnitsCompressBetterPerByte)
     std::vector<PageRef> refs;
     for (Pfn pfn = 100; pfn < 104; ++pfn)
         refs.push_back(PageRef{{0, pfn}, 0});
-    std::size_t unit =
-        compressor.compressedSizeMany(refs, *lz4, 16384);
+    std::size_t unit = compressor.size(refs, *lz4, 16384);
     std::size_t individual = 0;
-    for (const auto &ref : refs) {
-        individual +=
-            compressor.compressedSizeOne(ref, *lz4, pageSize);
-    }
+    for (const auto &ref : refs)
+        individual += one(ref, *lz4, pageSize);
     EXPECT_LT(unit, individual);
 }
 
 TEST_F(PageCompressorTest, EmptyUnitIsZero)
 {
-    EXPECT_EQ(compressor.compressedSizeMany({}, *lzo, 16384), 0u);
+    EXPECT_EQ(compressor.size({}, *lzo, 16384), 0u);
 }
 
 TEST_F(PageCompressorTest, TracksCompressedVolume)
 {
-    compressor.compressedSizeOne(PageRef{{0, 5}, 0}, *lzo, pageSize);
+    one(PageRef{{0, 5}, 0}, *lzo, pageSize);
     EXPECT_EQ(compressor.bytesCompressed(), pageSize);
-    compressor.compressedSizeOne(PageRef{{0, 5}, 0}, *lzo, pageSize);
+    one(PageRef{{0, 5}, 0}, *lzo, pageSize);
     EXPECT_EQ(compressor.bytesCompressed(), pageSize); // cache hit
 }

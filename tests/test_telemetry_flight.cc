@@ -312,8 +312,8 @@ TEST_F(FlightTest, JourneysJsonGroupsPerPage)
 // Fleet-level invariance: gauges and histograms are fed *simulated*
 // values at simulated times, so their merged totals are functions of
 // (spec, seed) — invariant across shard splits and thread counts.
-// Compressor cache/memo rates depend on which worker ran which
-// session (caches are shared within a worker), so the `compressor.`
+// Compressor cache rates depend on which worker ran which session
+// (the size table is shared within a worker), so the `compressor.`
 // namespace is exempt, exactly as it is in perf-gate comparisons.
 // ---------------------------------------------------------------------
 
