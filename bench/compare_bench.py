@@ -22,9 +22,6 @@ after an intentional perf or behaviour change.
 Metrics the current run emits that the baseline lacks cannot gate —
 they print as WARN so a new rate or counter is never silently
 untracked; refreshing the baseline (--update) starts gating them.
-Counters matching VOLATILE_COUNTER_PREFIXES (per-worker scheduling
-artifacts like the compression memo's hit/miss split) are
-informational only.
 
 Wall time, RSS, and duration accumulators are machine-dependent and
 reported for information only. Exit status: 0 pass, 1 fail, 2 usage
@@ -35,20 +32,6 @@ import argparse
 import json
 import shutil
 import sys
-
-# Counters whose values depend on host-side scheduling rather than on
-# simulated work, reported for information and never gating. Only the
-# removed content memo's hit/miss split is listed, which older
-# baselines still carry; its replacement, the per-worker size table,
-# counts through compressor.cache_*, which the committed benches keep
-# exact by compressing on one thread (perf_pages) or not at all
-# (perf_fleet).
-VOLATILE_COUNTER_PREFIXES = ("compressor.memo.",)
-
-
-def is_volatile(name):
-    return name.startswith(VOLATILE_COUNTER_PREFIXES)
-
 
 def fail_usage(msg):
     """Input problems (missing/corrupt/mismatched files) are usage
@@ -143,11 +126,6 @@ def main():
     cur_counters = cur.get("counters", {})
     for name, base_val in base.get("counters", {}).items():
         cur_val = cur_counters.get(name)
-        if is_volatile(name):
-            rows.append(("counter", name,
-                         "missing" if cur_val is None else str(cur_val),
-                         str(base_val), "n/a", "volatile"))
-            continue
         if cur_val is None:
             failures.append(f"counter '{name}' missing from current run")
             rows.append(("counter", name, "missing", str(base_val),
@@ -165,14 +143,12 @@ def main():
 
     for name in cur_counters:
         if name not in base.get("counters", {}):
-            status = "volatile" if is_volatile(name) else "WARN"
             rows.append(("counter", name, str(cur_counters[name]),
-                         "absent", "new", status))
-            if not is_volatile(name):
-                warnings.append(
-                    f"counter '{name}' absent from baseline — new "
-                    f"instrumentation is not gated; refresh the "
-                    f"baseline to start tracking it")
+                         "absent", "new", "WARN"))
+            warnings.append(
+                f"counter '{name}' absent from baseline — new "
+                f"instrumentation is not gated; refresh the "
+                f"baseline to start tracking it")
 
     print(f"{cur['bench']}: current vs baseline")
     print_table(rows)

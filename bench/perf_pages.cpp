@@ -9,11 +9,6 @@
  * compute-bound inner loop — content materialization plus codec —
  * from the scheduling and bookkeeping perf_fleet measures.
  *
- * A second, separately timed phase measures the swap-in path:
- * every page is framed once (untimed) with ChunkedFrame::compress,
- * each decompression is verified against the original bytes, and the
- * timed loop reports decompressPagesPerSec.<codec>.
- *
  *     perf_pages [--pages N] [--out FILE]
  */
 
@@ -23,7 +18,6 @@
 #include <iostream>
 #include <string>
 
-#include "compress/chunked.hh"
 #include "compress/codec.hh"
 #include "compress/registry.hh"
 #include "swap/page_compressor.hh"
@@ -93,52 +87,6 @@ main(int argc, char **argv)
                                    compressed_bytes);
         std::cerr << "perf_pages: " << name << " "
                   << static_cast<double>(pages) / wall.count()
-                  << " pages/s\n";
-
-        // Decompress phase (the swap-in critical path). Frames are
-        // built and round-trip-verified outside the timed loop; the
-        // loop itself is pure ChunkedFrame::decompress.
-        std::vector<std::vector<std::uint8_t>> frames(pages);
-        std::vector<std::uint8_t> page(pageSize);
-        std::vector<std::uint8_t> restored(pageSize);
-        for (std::size_t i = 0; i < pages; ++i) {
-            PageRef ref{PageKey{uid, static_cast<Pfn>(i)}, 0};
-            synth.materialize(ref.key, ref.version,
-                              {page.data(), page.size()});
-            frames[i] = ChunkedFrame::compress(
-                *codec, {page.data(), page.size()},
-                std::size_t{4096});
-            std::size_t got = ChunkedFrame::decompress(
-                *codec, {frames[i].data(), frames[i].size()},
-                {restored.data(), restored.size()});
-            if (got != pageSize ||
-                std::memcmp(restored.data(), page.data(), pageSize)) {
-                std::cerr << "perf_pages: " << name
-                          << " round-trip mismatch on page " << i
-                          << "\n";
-                return 1;
-            }
-        }
-        auto dstart = std::chrono::steady_clock::now();
-        std::size_t sink = 0;
-        for (std::size_t i = 0; i < pages; ++i) {
-            sink += ChunkedFrame::decompress(
-                *codec, {frames[i].data(), frames[i].size()},
-                {restored.data(), restored.size()});
-        }
-        std::chrono::duration<double> dwall =
-            std::chrono::steady_clock::now() - dstart;
-        if (sink != pages * pageSize) {
-            std::cerr << "perf_pages: " << name
-                      << " decompress loop failed\n";
-            return 1;
-        }
-        report.rates.emplace_back(
-            "decompressPagesPerSec." + name,
-            static_cast<double>(pages) /
-                std::max(dwall.count(), 1e-9));
-        std::cerr << "perf_pages: " << name << " decompress "
-                  << static_cast<double>(pages) / dwall.count()
                   << " pages/s\n";
     }
     std::chrono::duration<double> total_wall =

@@ -105,17 +105,9 @@ std::vector<std::uint8_t>
 ChunkedFrame::compress(const Codec &codec, ConstBytes src,
                        std::size_t chunk_bytes)
 {
-    return compress(codec, src, chunk_bytes, nullptr);
-}
-
-std::vector<std::uint8_t>
-ChunkedFrame::compress(const Codec &codec, ConstBytes src,
-                       std::size_t chunk_bytes,
-                       Codec::BatchState *state)
-{
     std::vector<std::uint8_t> out;
     std::vector<std::uint8_t> scratch;
-    compressInto(codec, src, chunk_bytes, state, out, scratch);
+    compressInto(codec, src, chunk_bytes, nullptr, out, scratch);
     return out;
 }
 

@@ -49,16 +49,11 @@ class ChunkedFrame
                                               ConstBytes src,
                                               std::size_t chunk_bytes);
 
-    /** As compress(), reusing @p state (may be null) across chunks. */
-    static std::vector<std::uint8_t> compress(const Codec &codec,
-                                              ConstBytes src,
-                                              std::size_t chunk_bytes,
-                                              Codec::BatchState *state);
-
     /**
-     * As the stateful compress(), but writing the frame into the
-     * caller-owned @p out (replaced) and reusing @p scratch (grown as
-     * needed) — no allocations once both buffers have warmed up.
+     * As compress(), but reusing @p state (may be null) across chunks,
+     * writing the frame into the caller-owned @p out (replaced) and
+     * reusing @p scratch (grown as needed) — no allocations once both
+     * buffers have warmed up.
      * @return the frame size (== out.size()).
      */
     static std::size_t compressInto(const Codec &codec, ConstBytes src,

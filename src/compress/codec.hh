@@ -17,7 +17,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "sim/timing_model.hh"
 
@@ -42,6 +41,10 @@ const char *codecKindName(CodecKind kind) noexcept;
  * least bound bytes. decompress() returns the decompressed size or 0
  * if the input is corrupt or the destination too small — it never
  * reads or writes out of bounds.
+ *
+ * The simulator charges swap-in through TimingModel::decompressNs and
+ * never decodes, so decompress() is a plain reference decoder: it
+ * exists as the correctness oracle for round-trip tests.
  */
 class Codec
 {
@@ -111,22 +114,6 @@ class Codec
         (void)state;
         return compress(src, dst);
     }
-
-    /**
-     * Compress srcs[i] into dsts[i] under one shared batch state.
-     * @return each compressed size (0 where a dst is under bound).
-     * Requires srcs.size() == dsts.size().
-     */
-    std::vector<std::size_t>
-    compressBatch(std::span<const ConstBytes> srcs,
-                  std::span<const MutableBytes> dsts) const;
-
-    /**
-     * Compressed size of each of @p srcs under one shared batch
-     * state, without keeping the compressed bytes.
-     */
-    std::vector<std::size_t>
-    sizeBatch(std::span<const ConstBytes> srcs) const;
 };
 
 } // namespace ariadne

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "compress/batch_table.hh"
-#include "compress/wide_copy.hh"
 
 namespace ariadne
 {
@@ -316,7 +315,12 @@ Lz4Codec::decompress(ConstBytes src, MutableBytes dst) const
         }
         if (static_cast<std::size_t>(oend - op) < match_len)
             return 0;
-        op = compress_detail::copyMatch(op, offset, match_len, oend);
+        // Forward byte copy: an overlapping match (offset < length)
+        // reads the bytes it has just written.
+        const std::uint8_t *match = op - offset;
+        for (std::size_t i = 0; i < match_len; ++i)
+            op[i] = match[i];
+        op += match_len;
     }
     return static_cast<std::size_t>(op - dst.data());
 }

@@ -24,11 +24,7 @@
  * `scheme = NAME` selects any registered scheme and namespaced
  * `scheme.<knob> = value` lines set its policy knobs, validated
  * against the scheme's schema (`ariadne_sim --list-schemes` prints
- * every scheme with its knobs). The pre-registry flat keys —
- * `ariadne`, `seed_profiles`, `predecomp`, `hot_init_pages` — still
- * parse as deprecated aliases of the corresponding `scheme.*` knobs
- * and are dropped when the selected scheme lacks the knob, matching
- * their historically tolerated behaviour.
+ * every scheme with its knobs).
  *
  * The event program speaks the MobileSystem driver vocabulary
  * (cold-launch / execute / background / relaunch / idle) plus the

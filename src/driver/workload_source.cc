@@ -260,7 +260,7 @@ TraceReplaySource::TraceReplaySource(std::string trace_path)
     : path(std::move(trace_path))
 {
     TraceReader reader(path, TraceReader::OnError::Throw);
-    if (reader.version() < 2 || reader.spec().empty())
+    if (reader.spec().empty())
         throw SpecError(
             "trace " + path + " carries no embedded scenario; only "
             "traces written by `ariadne_sim --record` (or "

@@ -13,13 +13,12 @@ namespace
 {
 
 constexpr std::uint32_t traceMagic = 0x52545241u; // "ARTR"
-constexpr std::uint32_t traceVersionV1 = 1;
-constexpr std::uint32_t traceVersionV2 = 2;
+constexpr std::uint32_t traceVersion = 2;
 
 /** On-disk record: 8+1+4+8+4+1+1 = 27 bytes, packed little endian. */
 constexpr std::size_t recordBytes = 27;
 
-/** v2 header field offsets (after the 4-byte magic + 4-byte version):
+/** Header field offsets (after the 4-byte magic + 4-byte version):
  * record count u64 @8, session count u32 @16, spec length u32 @20. */
 constexpr std::streamoff countOffset = 8;
 constexpr std::streamoff sessionOffset = 16;
@@ -97,7 +96,7 @@ TraceWriter::TraceWriter(const std::string &path,
     std::uint32_t session_placeholder = 0;
     auto spec_len = static_cast<std::uint32_t>(spec_text.size());
     out.write(reinterpret_cast<const char *>(&traceMagic), 4);
-    out.write(reinterpret_cast<const char *>(&traceVersionV2), 4);
+    out.write(reinterpret_cast<const char *>(&traceVersion), 4);
     out.write(reinterpret_cast<const char *>(&count_placeholder), 8);
     out.write(reinterpret_cast<const char *>(&session_placeholder), 4);
     out.write(reinterpret_cast<const char *>(&spec_len), 4);
@@ -167,21 +166,20 @@ TraceReader::TraceReader(const std::string &path, OnError on_error)
     in.read(reinterpret_cast<char *>(&total), 8);
     if (!in || magic != traceMagic)
         fail("bad trace header: " + path);
-    if (fileVersion != traceVersionV1 && fileVersion != traceVersionV2)
+    if (fileVersion != traceVersion)
         fail("unsupported trace version " +
              std::to_string(fileVersion) + " in " + path +
-             " (this build reads versions 1 and 2)");
-    if (fileVersion == traceVersionV2) {
-        std::uint32_t spec_len = 0;
-        in.read(reinterpret_cast<char *>(&sessions), 4);
-        in.read(reinterpret_cast<char *>(&spec_len), 4);
-        if (!in)
-            fail("bad trace header: " + path);
-        specText.resize(spec_len);
-        in.read(specText.data(), spec_len);
-        if (!in)
-            fail("trace truncated inside embedded scenario: " + path);
-    }
+             " (this build reads version " +
+             std::to_string(traceVersion) + ")");
+    std::uint32_t spec_len = 0;
+    in.read(reinterpret_cast<char *>(&sessions), 4);
+    in.read(reinterpret_cast<char *>(&spec_len), 4);
+    if (!in)
+        fail("bad trace header: " + path);
+    specText.resize(spec_len);
+    in.read(specText.data(), spec_len);
+    if (!in)
+        fail("trace truncated inside embedded scenario: " + path);
 }
 
 bool

@@ -1,21 +1,17 @@
 /**
  * @file
- * Torture tests for the wide-copy decompression inner loops: the
- * overlapping-match cases (offset < copy width) are exactly where a
- * naive wildcopy corrupts output, so every offset the encoders can
- * emit gets an explicit replication test against both codecs, plus
- * direct unit tests of copyMatch's three regimes (memset run,
- * strided wildcopy, byte-wise tail).
+ * Torture tests for overlapping LZ matches: a match whose offset is
+ * shorter than its length reads bytes its own copy produces, which is
+ * exactly where a decoder that moves more than one byte at a time
+ * corrupts output. Every small offset the encoders can emit gets an
+ * explicit replication round trip through both LZ codecs.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "codec_test_util.hh"
 #include "compress/lz4.hh"
 #include "compress/lzo.hh"
-#include "compress/wide_copy.hh"
 
 using namespace ariadne;
 using namespace ariadne::testutil;
@@ -51,51 +47,7 @@ rlePage(std::size_t n, std::uint64_t seed)
     return v;
 }
 
-/** Reference byte-wise overlapping copy. */
-void
-byteCopy(std::uint8_t *dst, std::size_t offset, std::size_t len)
-{
-    const std::uint8_t *src = dst - offset;
-    for (std::size_t i = 0; i < len; ++i)
-        dst[i] = src[i];
-}
-
 } // namespace
-
-TEST(WideCopy, MatchesByteCopyForEveryOffsetAndSlack)
-{
-    // Exercise all three regimes: for each offset and length, place
-    // the copy so the room past the end sweeps through 0..2x the
-    // wildcopy slack (byte-wise tail through full wildcopy).
-    for (std::size_t offset = 1; offset <= 20; ++offset) {
-        for (std::size_t len : {1u, 2u, 7u, 8u, 9u, 15u, 16u, 17u,
-                                31u, 64u, 200u}) {
-            for (std::size_t room = 0;
-                 room <= 2 * compress_detail::wildCopySlack; ++room) {
-                std::vector<std::uint8_t> expect(offset + len + room,
-                                                 0xEE);
-                std::vector<std::uint8_t> got;
-                for (std::size_t i = 0; i < offset; ++i)
-                    expect[i] = static_cast<std::uint8_t>(i * 37 + 1);
-                got = expect;
-
-                byteCopy(expect.data() + offset, offset, len);
-                std::uint8_t *end = compress_detail::copyMatch(
-                    got.data() + offset, offset, len,
-                    got.data() + offset + len + room);
-
-                ASSERT_EQ(end, got.data() + offset + len);
-                // The copied span must match the reference; bytes in
-                // the slack region may be overwritten (that is the
-                // wildcopy contract) but never past the given end.
-                EXPECT_EQ(0, std::memcmp(got.data(), expect.data(),
-                                         offset + len))
-                    << "offset=" << offset << " len=" << len
-                    << " room=" << room;
-            }
-        }
-    }
-}
 
 class CodecOverlapTorture : public ::testing::TestWithParam<int>
 {
@@ -131,9 +83,8 @@ TEST(CodecOverlapTorture, RlePages)
 
 TEST(CodecOverlapTorture, MatchEndingAtPageEnd)
 {
-    // Matches that run right up to the output end must take the
-    // byte-wise tail (no slack past oend); build pages whose final
-    // bytes are replicas at every small offset.
+    // Matches that run right up to the output end: build pages whose
+    // final bytes are replicas at every small offset.
     Lz4Codec lz4;
     LzoCodec lzo;
     Rng rng(99);

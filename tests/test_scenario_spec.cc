@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "driver/scenario_spec.hh"
 #include "driver/sweep_spec.hh"
@@ -36,6 +38,19 @@ event =   end
 event = end
 event = target_scenario Firefox 2
 )";
+
+/** Parsing @p text must throw SpecError mentioning @p needle. */
+void
+expectSpecError(const std::string &text, const std::string &needle)
+{
+    try {
+        ScenarioSpec::parseString(text);
+        ADD_FAILURE() << "expected SpecError for: " << text;
+    } catch (const SpecError &e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << e.what();
+    }
+}
 
 } // namespace
 
@@ -101,61 +116,6 @@ TEST(ScenarioSpec, ParsesCompoundUsageOps)
     // They serialize canonically and round-trip.
     ScenarioSpec reparsed = ScenarioSpec::parseString(spec.toString());
     EXPECT_TRUE(spec == reparsed);
-}
-
-TEST(ScenarioSpec, LegacyFlatKeysAliasSchemeKnobs)
-{
-    // The pre-registry flat keys still parse, landing in the scheme
-    // knob bag (normalized), so old configs and old recorded traces
-    // keep replaying.
-    ScenarioSpec spec = ScenarioSpec::parseString(
-        "scheme = ariadne\n"
-        "ariadne = EHL-1K-2K-16K\n"
-        "seed_profiles = false\n"
-        "predecomp = off\n"
-        "hot_init_pages = 0\n"
-        "event = warmup\n");
-    EXPECT_EQ(spec.params.getString("config", ""), "EHL-1K-2K-16K");
-    EXPECT_FALSE(spec.params.getBool("seed_profiles", true));
-    EXPECT_FALSE(spec.params.getBool("predecomp", true));
-    EXPECT_EQ(spec.params.getU64("hot_init_pages", 7), 0u);
-
-    // The knobs reach the derived SystemConfig...
-    SystemConfig cfg = spec.systemConfig(0);
-    EXPECT_EQ(cfg.scheme, "ariadne");
-    EXPECT_TRUE(cfg.schemeParams == spec.params);
-    // ...and round-trip through toString (in namespaced form).
-    EXPECT_NE(spec.toString().find("scheme.predecomp = false"),
-              std::string::npos);
-    EXPECT_TRUE(ScenarioSpec::parseString(spec.toString()) == spec);
-
-    // Alias and namespaced form follow the same last-line-wins rule
-    // as every other key (sweep variants override base settings
-    // whichever syntax either side uses).
-    ScenarioSpec explicit_last = ScenarioSpec::parseString(
-        "scheme = ariadne\n"
-        "predecomp = off\n"
-        "scheme.predecomp = on\n"
-        "event = warmup\n");
-    EXPECT_TRUE(explicit_last.params.getBool("predecomp", false));
-    ScenarioSpec alias_last = ScenarioSpec::parseString(
-        "scheme = ariadne\n"
-        "scheme.config = EHL-1K-2K-16K\n"
-        "ariadne = AL-1K-2K-16K\n"
-        "event = warmup\n");
-    EXPECT_EQ(alias_last.params.getString("config", ""),
-              "AL-1K-2K-16K");
-
-    // Aliases of knobs the selected scheme lacks are dropped, which
-    // is how they always behaved (ZRAM ignored `hot_init_pages`).
-    ScenarioSpec zram = ScenarioSpec::parseString(
-        "scheme = zram\n"
-        "hot_init_pages = 0\n"
-        "event = warmup\n");
-    EXPECT_TRUE(zram.params.empty());
-
-    EXPECT_THROW(ScenarioSpec::parseString("seed_profiles = maybe\n"),
-                 SpecError);
 }
 
 TEST(ScenarioSpec, SchemeKnobsAreValidatedAgainstTheSchema)
@@ -452,24 +412,31 @@ TEST(ScenarioSpec, RejectsBadValues)
     EXPECT_THROW(ScenarioSpec::parseString("fleet = 0\n"), SpecError);
     EXPECT_THROW(ScenarioSpec::parseString("apps = NoSuchApp\n"),
                  SpecError);
-    EXPECT_THROW(ScenarioSpec::parseString("ariadne = EHL-1K-2K\n"),
-                 SpecError);
-    EXPECT_THROW(ScenarioSpec::parseString("ariadne = XXL-1K-2K-16K\n"),
-                 SpecError);
-    // Shape is fine but the size constraints AriadneConfig::parse
-    // enforces with fatal() must already fail here with SpecError.
-    EXPECT_THROW(ScenarioSpec::parseString("ariadne = EHL-16K-2K-1K\n"),
-                 SpecError);
-    EXPECT_THROW(ScenarioSpec::parseString("ariadne = EHL-0-1K-2K\n"),
-                 SpecError);
-    // Oversized chunk-size tokens must become SpecError, not escape
-    // as std::out_of_range.
-    EXPECT_THROW(ScenarioSpec::parseString(
-                     "ariadne = EHL-99999999999999999999K-1K-2K\n"),
-                 SpecError);
-    EXPECT_THROW(ScenarioSpec::parseString(
-                     "ariadne = EHL-1K-2K-99999999999999999999\n"),
-                 SpecError);
+
+    // Ariadne config strings go through the scheme.config knob, which
+    // applies the grammar and size constraints AriadneConfig::parse
+    // enforces with fatal() — here they must fail with SpecError and
+    // AriadneConfig's own message. Oversized chunk-size tokens must
+    // become SpecError too, not escape as std::out_of_range.
+    const std::pair<std::string, std::string> bad_configs[] = {
+        {"EHL-1K-2K", "must be MODE-SMALL-MEDIUM-LARGE"},
+        {"XXL-1K-2K-16K", "mode must be EHL or AL"},
+        {"EHL-16K-2K-1K", "must be ordered"},
+        {"EHL-0-1K-2K", "must be > 0"},
+        {"EHL-99999999999999999999K-1K-2K", "out of range"},
+        {"EHL-1K-2K-99999999999999999999", "out of range"},
+    };
+    for (const auto &[config, message] : bad_configs)
+        expectSpecError("scheme = ariadne\nscheme.config = " + config +
+                            "\n",
+                        message);
+
+    // The pre-registry flat spellings of the scheme knobs are gone:
+    // each is an unknown key like any other.
+    for (const std::string key :
+         {"ariadne", "seed_profiles", "predecomp", "hot_init_pages"})
+        expectSpecError("scheme = ariadne\n" + key + " = 1\n",
+                        "unknown key '" + key + "'");
 }
 
 TEST(ScenarioSpec, AppListMayFollowTheEventsUsingIt)
@@ -575,7 +542,7 @@ scheme = zram
 
 variant = ariadne
 scheme = ariadne
-ariadne = EHL-1K-2K-16K
+scheme.config = EHL-1K-2K-16K
 
 variant = own-program
 scheme = dram

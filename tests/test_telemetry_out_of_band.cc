@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "driver/fleet_runner.hh"
+#include "swap/scheme_registry.hh"
 #include "telemetry/progress.hh"
 #include "telemetry/telemetry.hh"
 #include "telemetry/trace_log.hh"
@@ -28,7 +29,7 @@ smallSpec()
     return ScenarioSpec::parseString(R"(
 name = test-oob
 scheme = ariadne
-ariadne = EHL-1K-2K-16K
+scheme.config = EHL-1K-2K-16K
 scale = 0.0625
 seed = 11
 fleet = 4
@@ -168,4 +169,34 @@ TEST(TelemetryOutOfBand, CountersAreThreadInvariant)
     }
     EXPECT_GT(touches_1t, 0u);
     EXPECT_EQ(touches_1t, touches_3t);
+}
+
+TEST(TelemetryOutOfBand, SchemesModelDecompressionWithoutADecoder)
+{
+    // Swap-in and pre-decompression are charged through
+    // TimingModel::decompressNs; no scheme runs a real decoder, so the
+    // codec.decompress.* probes never count, while every scheme that
+    // compresses also records simulated decompressions.
+    std::size_t compressing_schemes = 0;
+    for (const SchemeInfo *info : SchemeRegistry::instance().infos()) {
+        ScenarioSpec spec = smallSpec();
+        spec.scheme = info->key;
+        spec.params = SchemeParams{};
+        spec.fleet = 2;
+        std::ostringstream progress;
+        AllTelemetryOn on(&progress);
+        FleetRunner(spec).run(0, 1);
+        auto snap = telemetry::Registry::global().snapshot();
+        for (const auto &d : snap.durations) {
+            if (d.name.rfind("codec.decompress.", 0) == 0) {
+                EXPECT_EQ(d.count, 0u) << info->key << ": " << d.name;
+            }
+        }
+        if (snap.histogram("swap.compress_ns").count() > 0) {
+            ++compressing_schemes;
+            EXPECT_GT(snap.histogram("swap.decompress_ns").count(), 0u)
+                << info->key;
+        }
+    }
+    EXPECT_GE(compressing_schemes, 2u);
 }

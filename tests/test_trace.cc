@@ -283,16 +283,27 @@ TEST(Trace, ThrowPolicyRaisesTraceErrorInsteadOfExiting)
 
 TEST(Trace, UnsupportedVersionIsRejected)
 {
-    std::string path = tempPath("ariadne_trace_future.bin");
-    writeTrace(path, sampleRecords());
-    // Bump the on-disk version to 99.
-    std::fstream f(path,
-                   std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(4);
-    std::uint32_t version = 99;
-    f.write(reinterpret_cast<const char *>(&version), 4);
-    f.close();
-    EXPECT_THROW(TraceReader(path, TraceReader::OnError::Throw),
-                 TraceError);
-    std::remove(path.c_str());
+    // A future version and the retired version 1 (whose header lacks
+    // the session count and embedded scenario) are both unsupported.
+    for (std::uint32_t version : {99u, 1u}) {
+        std::string path = tempPath("ariadne_trace_version.bin");
+        writeTrace(path, sampleRecords());
+        // Overwrite the on-disk version.
+        std::fstream f(path,
+                       std::ios::binary | std::ios::in | std::ios::out);
+        f.seekp(4);
+        f.write(reinterpret_cast<const char *>(&version), 4);
+        f.close();
+        try {
+            TraceReader reader(path, TraceReader::OnError::Throw);
+            ADD_FAILURE() << "version " << version << " was accepted";
+        } catch (const TraceError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "unsupported trace version " +
+                          std::to_string(version)),
+                      std::string::npos)
+                << e.what();
+        }
+        std::remove(path.c_str());
+    }
 }
