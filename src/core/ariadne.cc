@@ -139,7 +139,8 @@ AriadneScheme::onBackground(AppId uid)
     // it fast and PreDecomp chains hide most of the latency.
     Tick before = ctx.cpu.grandTotal();
     while (PageMeta *victim = hotOrg.popVictim(uid, Hotness::Hot))
-        compressUnit({victim}, Hotness::Hot, /*synchronous=*/false);
+        plan.push_back({{victim}, Hotness::Hot});
+    compressPlan(/*synchronous=*/false);
     bgReclaimNs += ctx.cpu.grandTotal() - before;
 }
 
@@ -214,17 +215,44 @@ AriadneScheme::ensureZpoolSpace(std::size_t csize, bool synchronous)
 }
 
 void
-AriadneScheme::compressUnit(std::vector<PageMeta *> batch, Hotness level,
-                            bool synchronous)
+AriadneScheme::compressPlan(bool synchronous)
+{
+    planRefs.clear();
+    for (const Victims &unit : plan)
+        for (PageMeta *p : unit.pages)
+            planRefs.push_back(PageRef{p->key, p->version});
+    planRequests.clear();
+    std::size_t at = 0;
+    for (const Victims &unit : plan) {
+        planRequests.push_back(
+            SizeRequest{{planRefs.data() + at, unit.pages.size()},
+                        units.chunkFor(unit.level)});
+        at += unit.pages.size();
+    }
+    planSizes.resize(plan.size());
+    ctx.compressor.sizeAll(planRequests, *codec, planSizes);
+
+    // Popping every victim before the first commit is popping each
+    // just before its own commit only while commits leave the victim
+    // lists alone.
+    std::uint64_t list_ops = lruOps();
+    committing = true;
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+        commitUnit(std::move(plan[i].pages), plan[i].level,
+                   planSizes[i], synchronous);
+    }
+    committing = false;
+    panicIf(lruOps() != list_ops,
+            "Ariadne reclaim commit changed a victim list");
+    plan.clear();
+}
+
+void
+AriadneScheme::commitUnit(std::vector<PageMeta *> batch, Hotness level,
+                          std::size_t csize, bool synchronous)
 {
     panicIf(batch.empty(), "empty compression batch");
     std::size_t chunk = units.chunkFor(level);
-
-    std::vector<PageRef> refs;
-    refs.reserve(batch.size());
-    for (PageMeta *p : batch)
-        refs.push_back(PageRef{p->key, p->version});
-    std::size_t csize = ctx.compressor.size(refs, *codec, chunk);
     AppId uid = batch.front()->key.uid;
     std::size_t in_bytes = batch.size() * pageSize;
 
@@ -267,10 +295,12 @@ AriadneScheme::compressUnit(std::vector<PageMeta *> batch, Hotness level,
 std::size_t
 AriadneScheme::reclaim(std::size_t pages, bool direct)
 {
+    panicIf(committing, "Ariadne reclaim re-entered from a commit");
     if (direct)
         ++directRuns;
     std::size_t freed = 0;
 
+    // Plan the whole pass, then size it as one batch and commit it.
     while (freed < pages) {
         // 1. Cold victims, batched into large multi-page units.
         if (PageMeta *victim = hotOrg.popVictim(Hotness::Cold)) {
@@ -282,25 +312,26 @@ AriadneScheme::reclaim(std::size_t pages, bool direct)
                 batch.push_back(hotOrg.popVictim(Hotness::Cold));
             }
             freed += batch.size();
-            compressUnit(std::move(batch), Hotness::Cold, direct);
+            plan.push_back({std::move(batch), Hotness::Cold});
             continue;
         }
         // 2. Warm victims, one page per medium-chunk unit.
         if (PageMeta *victim = hotOrg.popVictim(Hotness::Warm)) {
-            compressUnit({victim}, Hotness::Warm, direct);
+            plan.push_back({{victim}, Hotness::Warm});
             ++freed;
             continue;
         }
         // 3. Hot victims: normal in AL mode; emergency-only in EHL.
         if (!cfg.excludeHotList || direct) {
             if (PageMeta *victim = hotOrg.popVictim(Hotness::Hot)) {
-                compressUnit({victim}, Hotness::Hot, direct);
+                plan.push_back({{victim}, Hotness::Hot});
                 ++freed;
                 continue;
             }
         }
         break;
     }
+    compressPlan(direct);
     chargeLruOps(direct);
     return freed;
 }

@@ -112,9 +112,21 @@ class AriadneScheme : public SwapScheme, public HotnessAware
     void clearLogs() { sectorLog.clear(); }
 
   private:
-    /** Compress a batch of same-app victims into one unit. */
-    void compressUnit(std::vector<PageMeta *> batch, Hotness level,
-                      bool synchronous);
+    /** Same-app victims popped to form one compressed unit. */
+    struct Victims
+    {
+        std::vector<PageMeta *> pages;
+        Hotness level;
+    };
+
+    /** Size every unit of plan as one batch, then commit them in
+     * order (the plan is empty afterwards). */
+    void compressPlan(bool synchronous);
+
+    /** Store the unit @p batch, compressed to @p csize bytes, in the
+     * zpool, spilling older units to flash as needed. */
+    void commitUnit(std::vector<PageMeta *> batch, Hotness level,
+                    std::size_t csize, bool synchronous);
 
     /** Spill compressed units to flash until @p csize fits. */
     bool ensureZpoolSpace(std::size_t csize, bool synchronous);
@@ -160,6 +172,15 @@ class AriadneScheme : public SwapScheme, public HotnessAware
      */
     std::unordered_map<const PageMeta *, ZObjectId> pendingPredictions;
     std::uint64_t preSwapCount = 0;
+
+    /** Units of the pass being planned, in pop order. */
+    std::vector<Victims> plan;
+    /** Set while compressPlan() commits; reclaim() must not run. */
+    bool committing = false;
+    // Size-batch scratch of compressPlan().
+    std::vector<PageRef> planRefs;
+    std::vector<SizeRequest> planRequests;
+    std::vector<std::size_t> planSizes;
 };
 
 /** Registry entry for `scheme = ariadne` (see scheme_registry.cc). */

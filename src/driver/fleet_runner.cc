@@ -1,5 +1,8 @@
 #include "driver/fleet_runner.hh"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
@@ -10,6 +13,7 @@
 #include "mem/page_arena.hh"
 #include "report/report_merger.hh"
 #include "sim/log.hh"
+#include "swap/codec_pool.hh"
 #include "swap/page_compressor.hh"
 #include "swap/scheme_registry.hh"
 #include "telemetry/progress.hh"
@@ -91,6 +95,18 @@ applySchemeOverride(ScenarioSpec &spec,
 
 } // namespace
 
+unsigned
+usableCores()
+{
+    cpu_set_t mask;
+    if (sched_getaffinity(0, sizeof mask, &mask) == 0) {
+        int n = CPU_COUNT(&mask);
+        if (n > 0)
+            return static_cast<unsigned>(n);
+    }
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
 double
 SessionResult::compDecompCpuMs(double scale) const noexcept
 {
@@ -142,9 +158,19 @@ FleetRunner::runSession(std::size_t index) const
     return runSession(index, nullptr, nullptr);
 }
 
+std::size_t
+FleetRunner::codecHelpers(unsigned workers) const
+{
+    if (helperOverride)
+        return *helperOverride;
+    unsigned per_worker = usableCores() / std::max(1u, workers);
+    return per_worker > 1 ? per_worker - 1 : 0;
+}
+
 SessionResult
 FleetRunner::runSession(std::size_t index, TraceRecorder *recorder,
-                        PageArena *arena, SizeTable *sizes) const
+                        PageArena *arena, SizeTable *sizes,
+                        CodecPool *codecs) const
 {
     c_sessions.add();
     telemetry::ScopedTimer timer(d_session);
@@ -155,7 +181,8 @@ FleetRunner::runSession(std::size_t index, TraceRecorder *recorder,
     result.seed = scenario.sessionSeed(index);
 
     MobileSystem sys(scenario.systemConfig(index),
-                     source->sessionProfiles(index), arena, sizes);
+                     source->sessionProfiles(index), arena, sizes,
+                     codecs);
     SessionDriver driver(sys);
 
     if (recorder) {
@@ -272,13 +299,11 @@ FleetRunner::runPartialInto(report::FleetPartial &partial,
         // workers would interleave it.
         threads = 1;
     }
-    if (threads == 0) {
-        threads = std::thread::hardware_concurrency();
-        if (threads == 0)
-            threads = 1;
-    }
+    if (threads == 0)
+        threads = usableCores();
     if (threads > span)
         threads = static_cast<unsigned>(span);
+    const std::size_t helpers = codecHelpers(threads);
     if (kept)
         kept->resize(span);
 
@@ -297,7 +322,7 @@ FleetRunner::runPartialInto(report::FleetPartial &partial,
     std::size_t fold_frontier = begin;
     std::size_t high_water = 0;
 
-    auto worker = [&]() {
+    auto worker = [&](unsigned t) {
         // One arena per worker thread, recycled across every session
         // this worker runs: slabs and SoA arrays reach steady-state
         // capacity after the first session and later sessions allocate
@@ -309,6 +334,11 @@ FleetRunner::runPartialInto(report::FleetPartial &partial,
         // sizes equal fresh compressions). With compress_memo = off
         // each session sizes through a table of its own instead.
         SizeTable workerSizes;
+        // And so do the codec helpers, which start on the worker's
+        // first size batch with two misses and are joined when it
+        // ends. Sizes are pure functions of their keys, so reports
+        // cannot tell which thread ran a codec.
+        CodecPool workerCodecs(helpers, std::to_string(t));
         for (;;) {
             std::size_t i = next.fetch_add(1);
             if (i >= end)
@@ -320,7 +350,8 @@ FleetRunner::runPartialInto(report::FleetPartial &partial,
             }
             SessionResult s = runSession(
                 i, recorder, &workerArena,
-                scenario.compressMemo ? &workerSizes : nullptr);
+                scenario.compressMemo ? &workerSizes : nullptr,
+                &workerCodecs);
             std::size_t folded = 0;
             {
                 std::unique_lock<std::mutex> lk(mu);
@@ -347,7 +378,7 @@ FleetRunner::runPartialInto(report::FleetPartial &partial,
     };
     if (threads == 1) {
         telemetry::TraceLog::global().nameThisThread("fleet-main");
-        worker();
+        worker(0);
     } else {
         std::vector<std::thread> pool;
         pool.reserve(threads);
@@ -355,7 +386,7 @@ FleetRunner::runPartialInto(report::FleetPartial &partial,
             pool.emplace_back([&worker, t]() {
                 telemetry::TraceLog::global().nameThisThread(
                     "worker-" + std::to_string(t));
-                worker();
+                worker(t);
             });
         }
         for (auto &th : pool)

@@ -42,6 +42,7 @@
 
 namespace ariadne
 {
+class CodecPool;
 class PageArena;
 class SizeTable;
 }
@@ -119,6 +120,12 @@ struct SweepResult
     void writeJson(std::ostream &os, bool per_session = false) const;
 };
 
+/**
+ * Cores this process may run on: its CPU affinity mask, or the
+ * hardware thread count where the mask cannot be read. Never below 1.
+ */
+unsigned usableCores();
+
 /** Runs ScenarioSpecs as session fleets. */
 class FleetRunner
 {
@@ -151,10 +158,12 @@ class FleetRunner
      * @param fleet Session count; 0 uses the spec's fleet size.
      *        Throws SpecError when it exceeds the workload source's
      *        session limit (finite for trace replays).
-     * @param threads Worker threads; 0 picks the hardware count.
+     * @param threads Worker threads; 0 picks usableCores().
      * @param keep_sessions Retain every SessionResult in the result
      *        (needed for per-session JSON; costs O(fleet) memory).
-     * Aggregates are independent of @p threads.
+     * Each worker also gets codecHelpers() threads that run the codec
+     * misses of its size batches on the spare cores. Aggregates are
+     * independent of @p threads and of the helper count.
      */
     FleetResult run(std::size_t fleet = 0, unsigned threads = 1,
                     bool keep_sessions = false) const;
@@ -207,6 +216,20 @@ class FleetRunner
                                 unsigned threads = 1,
                                 bool keep_sessions = false);
 
+    /**
+     * Codec helper threads per fleet worker: by default the cores the
+     * workers leave spare, max(0, usableCores() / workers - 1). Reports
+     * and compressor.* counts do not depend on it.
+     */
+    std::size_t codecHelpers(unsigned workers) const;
+
+    /** Give every worker exactly @p per_worker codec helpers. */
+    void
+    setCodecHelpers(std::size_t per_worker)
+    {
+        helperOverride = per_worker;
+    }
+
     /** Effective spec (the embedded scenario for trace replays). */
     const ScenarioSpec &spec() const noexcept { return scenario; }
 
@@ -220,10 +243,12 @@ class FleetRunner
      * once per worker and recycled across every session it runs;
      * nullptr makes the session own a private arena. @p sizes is the
      * worker's compressed-size table on the same terms (nullptr keeps
-     * sizes within the session; reports are identical either way). */
+     * sizes within the session; reports are identical either way), and
+     * @p codecs the worker's codec helpers (nullptr sizes inline). */
     SessionResult runSession(std::size_t index, TraceRecorder *recorder,
                              PageArena *arena,
-                             SizeTable *sizes = nullptr) const;
+                             SizeTable *sizes = nullptr,
+                             CodecPool *codecs = nullptr) const;
     FleetResult runFleet(std::size_t fleet, unsigned threads,
                          bool keep_sessions,
                          TraceRecorder *recorder) const;
@@ -248,6 +273,8 @@ class FleetRunner
      * (the recorded scenario, never a trace reference, so a recorded
      * replay stays replayable). Other runners embed `scenario`. */
     std::optional<ScenarioSpec> recordedForEmbed;
+    /** Set by setCodecHelpers(). */
+    std::optional<std::size_t> helperOverride;
 };
 
 } // namespace ariadne::driver

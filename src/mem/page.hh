@@ -92,7 +92,10 @@ struct PageMeta
 /**
  * Supplier of page contents. Implemented by the workload synthesizer;
  * materialize() must be a pure function of (uid, pfn, version) so the
- * same page always yields identical bytes.
+ * same page always yields identical bytes, and safe to call from
+ * several threads at once: a fleet worker's codec helpers
+ * (swap/codec_pool.hh) materialize the pages of one size batch
+ * concurrently. PageSynthesizer only reads its pools.
  */
 class PageContentSource
 {

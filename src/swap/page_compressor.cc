@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "sim/log.hh"
 #include "sim/rng.hh"
+#include "swap/codec_pool.hh"
 #include "telemetry/telemetry.hh"
 
 namespace ariadne
@@ -13,6 +15,10 @@ namespace
 
 telemetry::Counter c_cacheHit("compressor.cache_hit");
 telemetry::Counter c_cacheMiss("compressor.cache_miss");
+// Host time of each sizeAll() batch that ran a codec, from the first
+// lookup to the last store. Its count is the number of such batches,
+// whatever the number of threads that ran them.
+telemetry::DurationProbe d_batch("compressor.batch");
 
 // Per-codec host-time compression cost, indexed by CodecKind. These
 // are the only probes measuring *real* compression work (the schemes
@@ -72,14 +78,8 @@ void
 SizeTable::insert(std::span<const std::uint64_t> key, std::uint64_t h,
                   std::uint32_t csize)
 {
-    if (live == capacity || keys.size() + 1 + key.size() > maxKeyWords) {
-        // Full: start over. Tags handed out stay unique, since
-        // nextTag never rewinds.
-        slots.clear();
-        keys.clear();
-        interned.clear();
-        live = 0;
-    }
+    if (clearsOnInsert(key.size()))
+        clear();
     if (slots.empty())
         slots.resize(capacity * 2);
     slots[probe(key, h)] =
@@ -87,6 +87,15 @@ SizeTable::insert(std::span<const std::uint64_t> key, std::uint64_t h,
     keys.push_back(key.size());
     keys.insert(keys.end(), key.begin(), key.end());
     ++live;
+}
+
+void
+SizeTable::clear() noexcept
+{
+    slots.clear();
+    keys.clear();
+    interned.clear();
+    live = 0;
 }
 
 std::uint32_t
@@ -115,56 +124,143 @@ PageCompressor::tagFor(AppId uid)
     return tag;
 }
 
-Codec::BatchState *
-PageCompressor::batchStateFor(const Codec &codec)
+std::uint32_t
+CodecScratch::compress(const PageContentSource &content,
+                       std::span<const PageRef> pages,
+                       const Codec &codec, std::size_t chunk_bytes)
 {
-    auto i = static_cast<std::size_t>(codec.kind());
-    BatchSlot &slot = batchStates[i < 4 ? i : 3];
-    if (!slot.made) {
-        slot.state = codec.makeBatchState();
-        slot.made = true;
+    telemetry::ScopedTimer timer(compressProbe(codec.kind()));
+    unit.resize(pages.size() * pageSize);
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+        content.materialize(pages[i].key, pages[i].version,
+                            {unit.data() + i * pageSize, pageSize});
     }
-    return slot.state.get();
+    auto kind = static_cast<std::size_t>(codec.kind());
+    std::size_t slot = kind < 4 ? kind : 3;
+    if (!made[slot]) {
+        states[slot] = codec.makeBatchState();
+        made[slot] = true;
+    }
+    return static_cast<std::uint32_t>(ChunkedFrame::compressInto(
+        codec, {unit.data(), unit.size()}, chunk_bytes,
+        states[slot].get(), frame, chunk));
+}
+
+void
+PageCompressor::buildKey(const SizeRequest &unit, const Codec &codec)
+{
+    key.clear();
+    key.push_back(
+        (std::uint64_t{static_cast<std::uint8_t>(codec.kind())} << 32) |
+        unit.pages.size());
+    key.push_back(unit.chunkBytes);
+    for (const PageRef &page : unit.pages) {
+        key.push_back(page.key.pfn);
+        key.push_back((std::uint64_t{tagFor(page.key.uid)} << 32) |
+                      page.version);
+    }
+}
+
+void
+PageCompressor::sizeAll(std::span<const SizeRequest> units,
+                        const Codec &codec, std::span<std::size_t> out)
+{
+    panicIf(out.size() != units.size(),
+            "sizeAll: output and batch lengths differ");
+    const bool timed = telemetry::enabled();
+    const std::uint64_t start = timed ? telemetry::hostNowNs() : 0;
+    batchMisses.clear();
+    missKeys.clear();
+    repeats.clear();
+    pendingFrom = 0;
+    std::size_t pending_words = 0;
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        out[i] = 0;
+        if (units[i].pages.empty())
+            continue;
+        buildKey(units[i], codec);
+        std::uint64_t h = SizeTable::hash(key);
+        // Sized one at a time, a pending miss would already be in the
+        // table.
+        auto same = std::find_if(
+            batchMisses.begin() + static_cast<long>(pendingFrom),
+            batchMisses.end(), [&](const Miss &m) {
+                return m.hash == h && m.keyLen == key.size() &&
+                       std::equal(key.begin(), key.end(),
+                                  missKeys.begin() +
+                                      static_cast<long>(m.keyAt));
+            });
+        if (same != batchMisses.end()) {
+            repeats.emplace_back(
+                i, static_cast<std::size_t>(same - batchMisses.begin()));
+            c_cacheHit.add();
+            ++hits;
+            continue;
+        }
+        std::uint32_t csize = table.find(key, h);
+        if (csize != SizeTable::notFound) {
+            out[i] = csize;
+            c_cacheHit.add();
+            ++hits;
+            continue;
+        }
+        if (table.clearsOnInsert(key.size(),
+                                 batchMisses.size() - pendingFrom,
+                                 pending_words)) {
+            // This miss's insert clears the table: store the pending
+            // misses first, then clear, so later lookups see what they
+            // would see sized one at a time.
+            flush(units, codec, out);
+            pending_words = 0;
+            if (table.clearsOnInsert(key.size()))
+                table.clear();
+        }
+        c_cacheMiss.add();
+        ++misses;
+        batchMisses.push_back(Miss{i, h, missKeys.size(), key.size()});
+        missKeys.insert(missKeys.end(), key.begin(), key.end());
+        pending_words += key.size();
+    }
+    flush(units, codec, out);
+    for (auto [unit, miss] : repeats)
+        out[unit] = batchMisses[miss].csize;
+    if (timed && !batchMisses.empty())
+        d_batch.record(telemetry::hostNowNs() - start);
+}
+
+void
+PageCompressor::flush(std::span<const SizeRequest> units,
+                      const Codec &codec, std::span<std::size_t> out)
+{
+    std::span<Miss> run(batchMisses.data() + pendingFrom,
+                        batchMisses.size() - pendingFrom);
+    auto job = [&](std::size_t k, CodecScratch &s) {
+        const SizeRequest &unit = units[run[k].unit];
+        run[k].csize =
+            s.compress(content, unit.pages, codec, unit.chunkBytes);
+    };
+    if (pool) {
+        pool->run(run.size(), scratch, job);
+    } else {
+        for (std::size_t k = 0; k < run.size(); ++k)
+            job(k, scratch);
+    }
+    for (const Miss &m : run) {
+        table.insert({missKeys.data() + m.keyAt, m.keyLen}, m.hash,
+                     m.csize);
+        compressedVolume += units[m.unit].pages.size() * pageSize;
+        out[m.unit] = m.csize;
+    }
+    pendingFrom = batchMisses.size();
 }
 
 std::size_t
 PageCompressor::size(std::span<const PageRef> pages, const Codec &codec,
                      std::size_t chunk_bytes)
 {
-    if (pages.empty())
-        return 0;
-    key.clear();
-    key.push_back(
-        (std::uint64_t{static_cast<std::uint8_t>(codec.kind())} << 32) |
-        pages.size());
-    key.push_back(chunk_bytes);
-    for (const PageRef &page : pages) {
-        key.push_back(page.key.pfn);
-        key.push_back((std::uint64_t{tagFor(page.key.uid)} << 32) |
-                      page.version);
-    }
-    std::uint64_t h = SizeTable::hash(key);
-    std::uint32_t csize = table.find(key, h);
-    if (csize != SizeTable::notFound) {
-        c_cacheHit.add();
-        ++hits;
-        return csize;
-    }
-
-    telemetry::ScopedTimer timer(compressProbe(codec.kind()));
-    c_cacheMiss.add();
-    ++misses;
-    unitScratch.resize(pages.size() * pageSize);
-    for (std::size_t i = 0; i < pages.size(); ++i) {
-        content.materialize(pages[i].key, pages[i].version,
-                            {unitScratch.data() + i * pageSize,
-                             pageSize});
-    }
-    csize = static_cast<std::uint32_t>(ChunkedFrame::compressInto(
-        codec, {unitScratch.data(), unitScratch.size()}, chunk_bytes,
-        batchStateFor(codec), frameScratch, chunkScratch));
-    compressedVolume += unitScratch.size();
-    table.insert(key, h, csize);
+    SizeRequest unit{pages, chunk_bytes};
+    std::size_t csize = 0;
+    sizeAll({&unit, 1}, codec, {&csize, 1});
     return csize;
 }
 

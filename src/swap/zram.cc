@@ -211,11 +211,9 @@ ZramScheme::ensureZpoolSpace(std::size_t csize, bool synchronous)
 }
 
 void
-ZramScheme::compressOut(PageMeta &victim, bool synchronous)
+ZramScheme::compressOut(PageMeta &victim, std::size_t csize,
+                        bool synchronous)
 {
-    PageRef ref{victim.key, victim.version};
-    std::size_t csize =
-        ctx.compressor.size({&ref, 1}, *codec, cfg.chunkBytes);
     c_compressOut.add();
     if (!ensureZpoolSpace(csize, synchronous)) {
         telemetry::journeyMark(victim.key.uid, victim.key.pfn,
@@ -245,35 +243,62 @@ ZramScheme::compressOut(PageMeta &victim, bool synchronous)
 }
 
 std::size_t
-ZramScheme::compressTail(AppState &app, std::size_t limit,
-                         bool synchronous)
+ZramScheme::popTail(AppState &app, std::size_t limit)
 {
     std::size_t done = 0;
     for (; done < limit; ++done) {
         PageMeta *victim = app.resident.popBack();
         if (!victim)
             break;
-        compressOut(*victim, synchronous);
+        victims.push_back(victim);
     }
     return done;
+}
+
+void
+ZramScheme::compressVictims(bool synchronous)
+{
+    victimRefs.clear();
+    for (const PageMeta *p : victims)
+        victimRefs.push_back(PageRef{p->key, p->version});
+    victimRequests.clear();
+    for (const PageRef &ref : victimRefs)
+        victimRequests.push_back(SizeRequest{{&ref, 1}, cfg.chunkBytes});
+    victimSizes.resize(victims.size());
+    ctx.compressor.sizeAll(victimRequests, *codec, victimSizes);
+
+    // Popping every victim before the first commit is popping each
+    // just before its own commit only while commits leave the LRU
+    // lists alone.
+    std::uint64_t list_ops = lruOps();
+    committing = true;
+    for (std::size_t i = 0; i < victims.size(); ++i)
+        compressOut(*victims[i], victimSizes[i], synchronous);
+    committing = false;
+    panicIf(lruOps() != list_ops,
+            "zram reclaim commit changed a victim list");
+    victims.clear();
 }
 
 std::size_t
 ZramScheme::reclaim(std::size_t pages, bool direct)
 {
+    panicIf(committing, "zram reclaim re-entered from a commit");
     if (direct)
         ++directRuns;
+    // Plan the whole pass, then size it as one batch and commit it.
     std::size_t freed = 0;
     while (freed < pages) {
         AppState *app = oldestAppWithPages();
         if (!app)
             break;
         std::size_t batch = std::min(cfg.reclaimBatch, pages - freed);
-        std::size_t done = compressTail(*app, batch, direct);
+        std::size_t done = popTail(*app, batch);
         if (done == 0)
             break;
         freed += done;
     }
+    compressVictims(direct);
     chargeLruOps(direct);
     return freed;
 }
@@ -291,7 +316,8 @@ ZramScheme::onBackground(AppId uid)
         cfg.proactiveFraction *
         static_cast<double>(app.resident.size()));
     Tick before = ctx.cpu.grandTotal();
-    compressTail(app, target, /*synchronous=*/false);
+    popTail(app, target);
+    compressVictims(/*synchronous=*/false);
     chargeLruOps(false);
     bgReclaimNs += ctx.cpu.grandTotal() - before;
 }

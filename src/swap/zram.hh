@@ -119,13 +119,17 @@ class ZramScheme : public SwapScheme
      */
     bool ensureZpoolSpace(std::size_t csize, bool synchronous);
 
-    /** Compress one victim page into the pool (or spill/lose it). */
-    void compressOut(PageMeta &victim, bool synchronous);
+    /** Store one victim page, compressed to @p csize bytes, in the
+     * pool (or spill/lose it). */
+    void compressOut(PageMeta &victim, std::size_t csize,
+                     bool synchronous);
 
-    /** Pop up to @p limit LRU-tail victims of @p app and compress
-     * each out. */
-    std::size_t compressTail(AppState &app, std::size_t limit,
-                             bool synchronous);
+    /** Pop up to @p limit LRU-tail victims of @p app into victims. */
+    std::size_t popTail(AppState &app, std::size_t limit);
+
+    /** Size every page of victims as one batch, then compress each
+     * out in order (victims is empty afterwards). */
+    void compressVictims(bool synchronous);
 
     ZramConfig cfg;
     std::unique_ptr<Codec> codec;
@@ -139,6 +143,15 @@ class ZramScheme : public SwapScheme
 
     std::vector<CompressionEvent> compLog;
     std::vector<Sector> sectorLog;
+
+    /** Pages of the pass being planned, in pop order. */
+    std::vector<PageMeta *> victims;
+    /** Set while compressVictims() commits; reclaim() must not run. */
+    bool committing = false;
+    // Size-batch scratch of compressVictims().
+    std::vector<PageRef> victimRefs;
+    std::vector<SizeRequest> victimRequests;
+    std::vector<std::size_t> victimSizes;
 };
 
 /** Registry entry for `scheme = zram` (see scheme_registry.cc). */

@@ -59,7 +59,7 @@ telemetry::AppHistogram h_relaunchNs("sys.relaunch_ns");
 MobileSystem::MobileSystem(const SystemConfig &config,
                            const std::vector<AppProfile> &profiles,
                            PageArena *shared_arena,
-                           SizeTable *sizes)
+                           SizeTable *sizes, CodecPool *codecs)
     : cfg(config), timing(cfg.timing), appProfiles(profiles),
       ownedArena(shared_arena ? nullptr
                               : std::make_unique<PageArena>()),
@@ -87,7 +87,8 @@ MobileSystem::MobileSystem(const SystemConfig &config,
                                        cfg.highWatermark);
 
     synth = std::make_unique<PageSynthesizer>(appProfiles);
-    pageCompressor = std::make_unique<PageCompressor>(*synth, sizes);
+    pageCompressor =
+        std::make_unique<PageCompressor>(*synth, sizes, codecs);
     makeScheme();
     reclaimDaemon = std::make_unique<Kswapd>(
         SwapContext{simClock, timing, cpuAccount, activity, *dramModel,

@@ -93,11 +93,16 @@ class MobileSystem
      *        recurring units carry across sessions (reports stay
      *        byte-identical either way); nullptr keeps them within
      *        the session. Must outlive this system.
+     * @param codecs Optional externally owned helper pool that runs
+     *        the codec misses of each size batch; nullptr runs them
+     *        on the calling thread (reports are identical either
+     *        way). Must outlive this system.
      */
     MobileSystem(const SystemConfig &config,
                  const std::vector<AppProfile> &profiles,
                  PageArena *shared_arena = nullptr,
-                 SizeTable *sizes = nullptr);
+                 SizeTable *sizes = nullptr,
+                 CodecPool *codecs = nullptr);
 
     /** Cold-launch an app (process creation plus first working set). */
     void appColdLaunch(AppId uid);

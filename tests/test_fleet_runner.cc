@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <thread>
 
 #include "driver/fleet_runner.hh"
 #include "workload/apps.hh"
@@ -336,4 +337,22 @@ TEST(FleetRunner, SweepVariantEqualsStandaloneFleet)
     r.variants[1].writeJson(a, false);
     standalone.writeJson(b, false);
     EXPECT_EQ(a.str(), b.str());
+}
+
+TEST(FleetRunner, UsableCoresBoundTheDefaultCodecHelpers)
+{
+    const unsigned cores = usableCores();
+    EXPECT_GE(cores, 1u);
+    if (unsigned hardware = std::thread::hardware_concurrency()) {
+        EXPECT_LE(cores, hardware);
+    }
+
+    // Helpers fill the cores the workers leave spare, never more.
+    FleetRunner runner(smallSpec());
+    EXPECT_EQ(runner.codecHelpers(1), cores - 1);
+    EXPECT_EQ(runner.codecHelpers(cores), 0u);
+    EXPECT_EQ(runner.codecHelpers(cores + 1), 0u);
+    EXPECT_EQ(runner.codecHelpers(2), cores / 2 > 1 ? cores / 2 - 1 : 0);
+    runner.setCodecHelpers(3);
+    EXPECT_EQ(runner.codecHelpers(cores), 3u);
 }

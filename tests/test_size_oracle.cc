@@ -3,19 +3,23 @@
  * Tests for the compressed-size oracle (PageCompressor::size over a
  * SizeTable): every size equals a fresh compression of the unit, a
  * change to any key field misses, a uid's content inputs scope what a
- * shared table may reuse, a full table still answers exactly, and —
- * the property the design rests on — fleet reports are byte-identical
- * with the worker-wide table on or off, for every codec and thread
- * count.
+ * shared table may reuse, a full table still answers exactly, a
+ * batch counts and stores exactly what sizing its units one at a time
+ * would, and — the property the design rests on — fleet reports are
+ * byte-identical with the worker-wide table on or off and with any
+ * number of codec helpers, for every codec and thread count.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <sstream>
 
 #include "compress/chunked.hh"
 #include "compress/registry.hh"
 #include "driver/fleet_runner.hh"
+#include "swap/codec_pool.hh"
 #include "swap/page_compressor.hh"
 #include "swap/scheme_registry.hh"
 #include "telemetry/telemetry.hh"
@@ -231,6 +235,183 @@ TEST(SizeOracle, FullTableStillReturnsExactSizes)
 namespace
 {
 
+/** Units of @p pages each, one per chunk size in @p chunks order. */
+struct Batch
+{
+    std::vector<std::vector<PageRef>> pages;
+    std::vector<std::size_t> chunks;
+
+    void
+    add(std::vector<PageRef> unit, std::size_t chunk)
+    {
+        pages.push_back(std::move(unit));
+        chunks.push_back(chunk);
+    }
+
+    std::vector<SizeRequest>
+    requests() const
+    {
+        std::vector<SizeRequest> out;
+        for (std::size_t i = 0; i < pages.size(); ++i)
+            out.push_back(SizeRequest{pages[i], chunks[i]});
+        return out;
+    }
+};
+
+/** What a compressor did: sizes, then its hit and miss totals. */
+struct Outcome
+{
+    std::vector<std::size_t> sizes;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+
+    bool operator==(const Outcome &) const = default;
+};
+
+Outcome
+sizeOneAtATime(PageCompressor &c, const Batch &b, const Codec &codec)
+{
+    Outcome o;
+    for (std::size_t i = 0; i < b.pages.size(); ++i)
+        o.sizes.push_back(c.size(b.pages[i], codec, b.chunks[i]));
+    o.hits = c.cacheHits();
+    o.misses = c.cacheMisses();
+    return o;
+}
+
+Outcome
+sizeAsBatch(PageCompressor &c, const Batch &b, const Codec &codec)
+{
+    Outcome o;
+    auto requests = b.requests();
+    o.sizes.resize(requests.size());
+    c.sizeAll(requests, codec, o.sizes);
+    o.hits = c.cacheHits();
+    o.misses = c.cacheMisses();
+    return o;
+}
+
+} // namespace
+
+TEST(SizeOracle, BatchMatchesOneAtATimeForEveryCodec)
+{
+    PageSynthesizer synth(standardApps());
+    AppId a = standardApps().front().uid;
+    AppId b = standardApps().back().uid;
+    Batch warm;
+    warm.add(unitOf(a, 900, 4), 16384);
+    warm.add(unitOf(b, 40, 1), 2048);
+
+    Batch batch;
+    batch.add(unitOf(a, 100, 4), 16384);
+    batch.add(warm.pages[0], 16384); // table hit
+    batch.add(unitOf(b, 5, 1), 1024);
+    batch.add(unitOf(a, 100, 4), 16384); // repeat of the first miss
+    batch.add({}, 4096);                 // empty unit
+    batch.add(unitOf(a, 100, 4), 4096);  // same pages, other chunk
+    batch.add(unitOf(b, 7, 2), 8192);
+    batch.add(warm.pages[1], 2048); // table hit
+    batch.add(unitOf(b, 5, 1), 1024); // repeat of a single page
+    batch.add(unitOf(a, 300, 6), 16384);
+    Batch later;
+    later.add(unitOf(a, 100, 4), 4096);
+    later.add(unitOf(b, 7, 2), 8192);
+    later.add(unitOf(a, 301, 2), 8192);
+
+    for (CodecKind kind : allCodecKinds()) {
+        auto codec = makeCodec(kind);
+        PageCompressor single(synth);
+        sizeOneAtATime(single, warm, *codec);
+        Outcome want = sizeOneAtATime(single, batch, *codec);
+        for (std::size_t i = 0; i < batch.pages.size(); ++i) {
+            EXPECT_EQ(want.sizes[i],
+                      batch.pages[i].empty()
+                          ? 0
+                          : freshSize(synth, batch.pages[i], *codec,
+                                      batch.chunks[i]))
+                << codecKindName(kind) << " unit " << i;
+        }
+        Outcome want_later = sizeOneAtATime(single, later, *codec);
+
+        for (std::size_t helpers : {0u, 3u}) {
+            CodecPool pool(helpers, "test");
+            PageCompressor batched(synth, nullptr, &pool);
+            sizeOneAtATime(batched, warm, *codec);
+            EXPECT_EQ(sizeAsBatch(batched, batch, *codec), want)
+                << codecKindName(kind) << " helpers=" << helpers;
+            EXPECT_EQ(sizeOneAtATime(batched, later, *codec), want_later)
+                << codecKindName(kind) << " helpers=" << helpers;
+            EXPECT_EQ(batched.bytesCompressed(), single.bytesCompressed());
+        }
+    }
+}
+
+TEST(SizeOracle, BatchCrossingATableClearMatchesOneAtATime)
+{
+    // Leave room for three one-page units, by entry count and then by
+    // key-pool words: the fourth miss of the batch clears the table.
+    // Sized one at a time, a unit equal to a miss from before the
+    // clear misses again, and one equal to a miss after it hits.
+    PageSynthesizer synth(standardApps());
+    AppId uid = standardApps().front().uid;
+    auto codec = makeCodec(CodecKind::Lzo);
+    auto page = [&](Pfn pfn) { return unitOf(uid, pfn, 1); };
+    std::vector<PageRef> seen = page(1);
+    Batch batch;
+    batch.add(seen, 4096); // hit: sized before the fill
+    for (Pfn pfn : {10, 11, 12, 13})
+        batch.add(page(pfn), 4096); // the last one clears the table
+    batch.add(seen, 4096);    // stored before the clear: a miss
+    batch.add(page(10), 4096); // likewise
+    batch.add(page(13), 4096); // stored after it: a hit
+    const std::size_t unit_words = 4; // codec|n, chunk, pfn, tag|version
+
+    auto fill_by_entries = [](SizeTable &t) {
+        for (std::uint64_t i = 0; t.entries() + 3 < SizeTable::capacity;
+             ++i) {
+            std::vector<std::uint64_t> key{i, ~i};
+            t.insert(key, SizeTable::hash(key), 1);
+        }
+    };
+    auto fill_by_words = [&](SizeTable &t) {
+        // Leave 3 keys' words plus 2 more, with 30-word keys and one
+        // shorter last key.
+        std::size_t left = SizeTable::maxKeyWords - 1 - unit_words; // seen
+        const std::size_t room = 3 * (unit_words + 1) + 2;
+        std::uint64_t i = 0;
+        while (left > room) {
+            std::size_t len = std::min<std::size_t>(30, left - room - 1);
+            ASSERT_GT(len, 0u);
+            std::vector<std::uint64_t> key(len, i++);
+            key[0] = ~i;
+            t.insert(key, SizeTable::hash(key), 1);
+            left -= len + 1;
+        }
+    };
+    for (auto fill : {std::function<void(SizeTable &)>(fill_by_entries),
+                      std::function<void(SizeTable &)>(fill_by_words)}) {
+        SizeTable one_table, batch_table;
+        PageCompressor single(synth, &one_table);
+        CodecPool pool(2, "test");
+        PageCompressor batched(synth, &batch_table, &pool);
+        single.size(seen, *codec, 4096);
+        batched.size(seen, *codec, 4096);
+        fill(one_table);
+        fill(batch_table);
+        ASSERT_EQ(one_table.entries(), batch_table.entries());
+
+        Outcome want = sizeOneAtATime(single, batch, *codec);
+        EXPECT_EQ(want.hits, 2u);
+        EXPECT_EQ(want.misses, 7u); // with the one before the fill
+        EXPECT_EQ(sizeAsBatch(batched, batch, *codec), want);
+        EXPECT_EQ(batch_table.entries(), one_table.entries());
+        EXPECT_EQ(batch_table.entries(), 3u); // 13, seen, 10
+    }
+}
+
+namespace
+{
+
 ScenarioSpec
 memoSpec(const std::string &codec, bool memo_on)
 {
@@ -315,6 +496,65 @@ TEST(SizeOracle, PressureReportsByteIdenticalOnOrOff)
             }
         }
     }
+}
+
+namespace
+{
+
+/** compressor.* counter values and probe counts of @p snap. */
+std::map<std::string, std::uint64_t>
+compressorCounts(const telemetry::Registry::Snapshot &snap)
+{
+    std::map<std::string, std::uint64_t> out;
+    for (const auto &c : snap.counters) {
+        if (c.name.starts_with("compressor."))
+            out[c.name] = c.value;
+    }
+    for (const auto &d : snap.durations) {
+        if (d.name.starts_with("compressor."))
+            out[d.name + ".count"] = d.count;
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(SizeOracle, PressureReportsAndCountsIndependentOfCodecHelpers)
+{
+    // Helpers change which thread runs a codec, never a size, a count
+    // or a report byte. Two workers claim sessions in a racy order, so
+    // worker-wide tables would make their hit counts depend on
+    // scheduling: there, sessions size through tables of their own.
+    telemetry::setEnabled(true);
+    for (const std::string scheme : {"ariadne", "zram"}) {
+        for (unsigned workers : {1u, 2u}) {
+            ScenarioSpec spec = pressureSpec(scheme, workers == 1);
+            std::string want_report;
+            std::map<std::string, std::uint64_t> want_counts;
+            for (std::size_t helpers : {0u, 3u}) {
+                telemetry::Registry::global().reset();
+                FleetRunner runner(spec);
+                runner.setCodecHelpers(helpers);
+                std::ostringstream report;
+                runner.run(0, workers, true).writeJson(report, true);
+                auto counts = compressorCounts(
+                    telemetry::Registry::global().snapshot());
+                if (helpers == 0) {
+                    want_report = report.str();
+                    want_counts = counts;
+                    EXPECT_GT(counts["compressor.batch.count"], 0u)
+                        << scheme;
+                    continue;
+                }
+                EXPECT_EQ(report.str(), want_report)
+                    << scheme << " workers=" << workers;
+                EXPECT_EQ(counts, want_counts)
+                    << scheme << " workers=" << workers;
+            }
+        }
+    }
+    telemetry::setEnabled(false);
+    telemetry::Registry::global().reset();
 }
 
 TEST(SizeOracle, CompressedUnitsAreHitsPlusCodecRuns)

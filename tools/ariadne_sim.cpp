@@ -109,8 +109,10 @@ usage(std::ostream &os)
           "  -o FILE          alias of --json\n"
           "  --fleet N        session count (default: the config's "
           "fleet size)\n"
-          "  --threads T      worker threads (default 1; 0 = hardware "
-          "count)\n"
+          "  --threads T      worker threads (default 1; 0 = usable "
+          "cores); cores\n"
+          "                   the workers leave spare run their codec "
+          "work\n"
           "  --record FILE    record the run as a replayable trace "
           "(--config or\n"
           "                   --replay; forces one worker). Replay it "
