@@ -9,6 +9,11 @@
  * compute-bound inner loop — content materialization plus codec —
  * from the scheduling and bookkeeping perf_fleet measures.
  *
+ * A last phase sizes the same volume as Ariadne's cold units: 4-page
+ * units through lzo in one 16 KiB chunk, where the match search runs
+ * over a buffer larger than lzo's 4 KiB window (coldUnitsPerSec.lzo,
+ * compressedBytes.coldUnit.lzo).
+ *
  *     perf_pages [--pages N] [--out FILE]
  */
 
@@ -88,6 +93,37 @@ main(int argc, char **argv)
         std::cerr << "perf_pages: " << name << " "
                   << static_cast<double>(pages) / wall.count()
                   << " pages/s\n";
+    }
+    {
+        // Ariadne's default cold unit: largeSize (16 KiB) of input,
+        // framed as one chunk.
+        constexpr std::size_t unitPages = 4;
+        constexpr std::size_t chunkBytes = unitPages * pageSize;
+        PageCompressor compressor(synth);
+        auto codec = makeCodec(CodecKind::Lzo);
+        AppId uid = apps.front().uid;
+        std::size_t units = pages / unitPages;
+
+        auto start = std::chrono::steady_clock::now();
+        std::uint64_t compressed_bytes = 0;
+        PageRef refs[unitPages];
+        for (std::size_t i = 0; i < units; ++i) {
+            for (std::size_t p = 0; p < unitPages; ++p) {
+                refs[p] = PageRef{
+                    PageKey{uid, static_cast<Pfn>(i * unitPages + p)}, 0};
+            }
+            compressed_bytes += compressor.size(refs, *codec, chunkBytes);
+        }
+        std::chrono::duration<double> wall =
+            std::chrono::steady_clock::now() - start;
+
+        double rate = static_cast<double>(units) /
+                      std::max(wall.count(), 1e-9);
+        report.totals.emplace_back("coldUnits", units);
+        report.rates.emplace_back("coldUnitsPerSec.lzo", rate);
+        report.totals.emplace_back("compressedBytes.coldUnit.lzo",
+                                   compressed_bytes);
+        std::cerr << "perf_pages: lzo " << rate << " cold units/s\n";
     }
     std::chrono::duration<double> total_wall =
         std::chrono::steady_clock::now() - total_start;

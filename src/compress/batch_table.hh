@@ -7,17 +7,22 @@
  * sentinel; at page granularity that fill (32 KB for lz4, 16 KB for
  * lzo) costs more than the match search itself. The batch state
  * instead keeps one zero-filled table alive and *biases* stored
- * positions: a call claiming bias b stores position p as p + b, and
- * an entry e is a valid reference for that call iff e >= b (its
- * position is then e - b). Entries written by earlier buffers sit
- * below the current bias, so validity is exactly the fresh-table
- * sentinel test — the compressed output is byte-identical to a
- * stateless call, with no refill and no allocation per buffer.
+ * positions: a call claiming bias b stores position p as p + b.
  *
- * The bias grows monotonically by each buffer's length; when the next
- * claim would push a stored position past 32 bits, the table is
- * zero-refilled once and the bias restarts at 1 (amortized over ~4 GB
- * of input).
+ * Each claim leaves a gap of the codec's window (its largest match
+ * offset W) past the end of the previous buffer, and the first bias
+ * is W + 1. So an entry e probed at position p is a valid reference
+ * for the call iff p + b - e <= W: entries of earlier buffers and
+ * empty (zero) slots are all more than W below p + b, and for this
+ * buffer's entries p + b - e is the match distance. That one
+ * comparison is exactly the fresh-table sentinel test plus the window
+ * test, so the compressed output is byte-identical to a stateless
+ * call, with no refill and no allocation per buffer.
+ *
+ * The bias grows monotonically by each buffer's length plus the gap;
+ * when the next claim would push a stored position past 32 bits, the
+ * table is zero-refilled once and the bias restarts at W + 1
+ * (amortized over ~4 GB of input).
  */
 
 #ifndef ARIADNE_COMPRESS_BATCH_TABLE_HH
@@ -25,17 +30,37 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "compress/codec.hh"
 
 namespace ariadne::compress_detail
 {
 
+/**
+ * @p v, hidden from the optimizer. The match loops compute their
+ * window flag and reference mask arithmetically so that match or
+ * literal is the only data-dependent branch; without this barrier
+ * GCC turns the flag back into a compare-and-branch.
+ */
+template <typename T>
+inline T
+opaque(T v) noexcept
+{
+    asm("" : "+r"(v));
+    return v;
+}
+
 /** Biased position-table batch state shared by Lz4Codec/LzoCodec. */
 class PosTableState final : public Codec::BatchState
 {
   public:
-    explicit PosTableState(std::size_t slots) : table(slots, 0) {}
+    /** A zero-filled table of @p slots for a codec whose largest
+     * match offset is @p window. */
+    PosTableState(std::size_t slots, std::uint32_t window)
+        : table(slots, 0), gap(window), next(std::uint64_t{window} + 1)
+    {
+    }
 
     /**
      * Claim the bias window for an @p n byte buffer, zero-refilling
@@ -45,12 +70,12 @@ class PosTableState final : public Codec::BatchState
     std::uint32_t
     claim(std::size_t n)
     {
-        if (n > std::size_t{0xffffffffu} - bias) {
+        if (next + n > 0xffffffffu) {
             std::fill(table.begin(), table.end(), 0u);
-            bias = 1;
+            next = std::uint64_t{gap} + 1;
         }
-        std::uint32_t claimed = bias;
-        bias = static_cast<std::uint32_t>(bias + n);
+        auto claimed = static_cast<std::uint32_t>(next);
+        next += n + gap;
         return claimed;
     }
 
@@ -62,8 +87,10 @@ class PosTableState final : public Codec::BatchState
 
   private:
     std::vector<std::uint32_t> table;
+    /** The codec's window: the least distance between buffers. */
+    std::uint32_t gap;
     /** Bias of the next claim; positions stored as p + bias. */
-    std::uint32_t bias = 1;
+    std::uint64_t next;
 };
 
 } // namespace ariadne::compress_detail

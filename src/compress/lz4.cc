@@ -47,16 +47,14 @@ boundFor(std::size_t n) noexcept
 }
 
 /**
- * The match loop, parameterized on a biased position table (see
- * batch_table.hh): @p table entries are position + @p bias, and only
- * entries >= bias reference this buffer. A zero-filled table with
- * bias 1 behaves exactly like a fresh sentinel-filled table.
- *
- * @tparam checkOffset false only when src.size() <= maxOffset + 1,
- * where every in-buffer distance fits the window and the range check
- * is vacuously true (the common page/chunk-sized call).
+ * The match loop over a biased position table (see batch_table.hh):
+ * @p table entries are position + @p bias, and every entry this call
+ * did not write, empty slots included, lies more than maxOffset below
+ * @p bias. So an entry e probed at position p is a valid reference
+ * iff p + bias - e <= maxOffset: one test for "written by this
+ * buffer" and "within the window". The stateless call passes a
+ * zero-filled table and bias maxOffset + 1.
  */
-template <bool checkOffset>
 std::size_t
 compressWith(ConstBytes src, MutableBytes dst, std::uint32_t *table,
              std::uint32_t bias)
@@ -168,12 +166,16 @@ compressWith(ConstBytes src, MutableBytes dst, std::uint32_t *table,
         auto cur_pos = static_cast<std::uint32_t>(ip - src.data());
         table[h] = cur_pos + bias;
 
-        // Entries below the bias were written by earlier buffers of
-        // the batch (or never) — the fresh-table sentinel test.
-        std::uint32_t ref_pos = entry - bias;
-        if (entry >= bias &&
-            (!checkOffset || cur_pos - ref_pos <= maxOffset) &&
-            read32(src.data() + ref_pos) == val) {
+        // One window test, kept off the branch predictor: an invalid
+        // entry's reference is clamped to ip itself, and bit 32 of
+        // the compared word is set so it can never equal the probe.
+        std::uint32_t dist = cur_pos + bias - entry;
+        auto invalid = compress_detail::opaque(
+            static_cast<std::uint64_t>(dist > maxOffset));
+        auto keep = compress_detail::opaque(
+            static_cast<std::uint32_t>(invalid) - 1);
+        std::uint32_t ref_pos = cur_pos - (dist & keep);
+        if ((read32(src.data() + ref_pos) | (invalid << 32)) == val) {
             on_match(ref_pos, cur_pos);
             return true;
         }
@@ -216,16 +218,6 @@ compressWith(ConstBytes src, MutableBytes dst, std::uint32_t *table,
     return static_cast<std::size_t>(op - dst.data());
 }
 
-/** Dispatch to the offset-check-free loop for window-sized buffers. */
-std::size_t
-compressDispatch(ConstBytes src, MutableBytes dst, std::uint32_t *table,
-                 std::uint32_t bias)
-{
-    if (src.size() <= maxOffset + 1)
-        return compressWith<false>(src, dst, table, bias);
-    return compressWith<true>(src, dst, table, bias);
-}
-
 } // namespace
 
 std::size_t
@@ -238,13 +230,14 @@ std::size_t
 Lz4Codec::compress(ConstBytes src, MutableBytes dst) const
 {
     std::vector<std::uint32_t> table(hashSize, 0);
-    return compressDispatch(src, dst, table.data(), 1);
+    return compressWith(src, dst, table.data(), maxOffset + 1);
 }
 
 std::unique_ptr<Codec::BatchState>
 Lz4Codec::makeBatchState() const
 {
-    return std::make_unique<compress_detail::PosTableState>(hashSize);
+    return std::make_unique<compress_detail::PosTableState>(hashSize,
+                                                            maxOffset);
 }
 
 std::size_t
@@ -254,8 +247,7 @@ Lz4Codec::compress(ConstBytes src, MutableBytes dst,
     if (!state)
         return compress(src, dst);
     auto &pos = static_cast<compress_detail::PosTableState &>(*state);
-    return compressDispatch(src, dst, pos.data(),
-                            pos.claim(src.size()));
+    return compressWith(src, dst, pos.data(), pos.claim(src.size()));
 }
 
 std::size_t

@@ -55,16 +55,14 @@ boundFor(std::size_t n) noexcept
 }
 
 /**
- * The match loop, parameterized on a biased position table (see
- * batch_table.hh): @p table entries are position + @p bias, and only
- * entries >= bias reference this buffer. A zero-filled table with
- * bias 1 behaves exactly like a fresh sentinel-filled table.
- *
- * @tparam checkOffset false only when src.size() <= maxOffset + 1,
- * where every in-buffer distance fits the window and the range check
- * is vacuously true (the common page/chunk-sized call).
+ * The match loop over a biased position table (see batch_table.hh):
+ * @p table entries are position + @p bias, and every entry this call
+ * did not write, empty slots included, lies more than maxOffset below
+ * @p bias. So an entry e probed at position p is a valid reference
+ * iff p + bias - e <= maxOffset: one test for "written by this
+ * buffer" and "within the window". The stateless call passes a
+ * zero-filled table and bias maxOffset + 1.
  */
-template <bool checkOffset>
 std::size_t
 compressWith(ConstBytes src, MutableBytes dst, std::uint32_t *table,
              std::uint32_t bias)
@@ -111,15 +109,18 @@ compressWith(ConstBytes src, MutableBytes dst, std::uint32_t *table,
                 auto cur_pos =
                     static_cast<std::uint32_t>(ip - src.data());
                 table[h] = cur_pos + bias;
-                // Entries below the bias were written by earlier
-                // buffers of the batch (or never) — the fresh-table
-                // sentinel test.
-                std::uint32_t ref_pos = entry - bias;
-                if (entry >= bias &&
-                    (!checkOffset ||
-                     cur_pos - ref_pos <= maxOffset) &&
-                    (read32(src.data() + ref_pos) & 0xffffffu) ==
-                        v24) {
+                // One window test, kept off the branch predictor: an
+                // invalid entry's reference is clamped to ip itself,
+                // and bit 24 of the compared word is set so it can
+                // never equal the 24-bit probe.
+                std::uint32_t dist = cur_pos + bias - entry;
+                auto invalid = compress_detail::opaque(
+                    static_cast<std::uint32_t>(dist > maxOffset));
+                std::uint32_t keep =
+                    compress_detail::opaque(invalid - 1);
+                std::uint32_t ref_pos = cur_pos - (dist & keep);
+                if (((read32(src.data() + ref_pos) & 0xffffffu) |
+                     (invalid << 24)) == v24) {
                     const std::uint8_t *ref = src.data() + ref_pos;
                     // Extend eight bytes per compare (in bounds: the
                     // group keeps maxMatch + word slack ahead), then
@@ -138,13 +139,11 @@ compressWith(ConstBytes src, MutableBytes dst, std::uint32_t *table,
                     }
                     while (len < maxMatch && ref[len] == ip[len])
                         ++len;
-                    std::size_t offset = cur_pos - ref_pos;
                     flag_byte |=
                         static_cast<std::uint8_t>(1u << bit);
                     *op++ = static_cast<std::uint8_t>(
-                        ((len - minMatch) << 4) |
-                        ((offset >> 8) & 0x0f));
-                    *op++ = static_cast<std::uint8_t>(offset & 0xff);
+                        ((len - minMatch) << 4) | ((dist >> 8) & 0x0f));
+                    *op++ = static_cast<std::uint8_t>(dist & 0xff);
                     ip += len;
                     wpos = 6; // window no longer covers ip
                 } else {
@@ -172,10 +171,9 @@ compressWith(ConstBytes src, MutableBytes dst, std::uint32_t *table,
                 auto cur_pos =
                     static_cast<std::uint32_t>(ip - src.data());
                 table[h] = cur_pos + bias;
-                std::uint32_t ref_pos = entry - bias;
-                if (entry >= bias &&
-                    (!checkOffset ||
-                     cur_pos - ref_pos <= maxOffset) &&
+                std::uint32_t dist = cur_pos + bias - entry;
+                std::uint32_t ref_pos = cur_pos - dist;
+                if (dist <= maxOffset &&
                     (word_safe
                          ? (read32(src.data() + ref_pos) &
                             0xffffffu) == v24
@@ -188,13 +186,11 @@ compressWith(ConstBytes src, MutableBytes dst, std::uint32_t *table,
                         static_cast<std::size_t>(iend - ip));
                     while (len < limit && ref[len] == ip[len])
                         ++len;
-                    std::size_t offset = cur_pos - ref_pos;
                     flag_byte |=
                         static_cast<std::uint8_t>(1u << bit);
                     *op++ = static_cast<std::uint8_t>(
-                        ((len - minMatch) << 4) |
-                        ((offset >> 8) & 0x0f));
-                    *op++ = static_cast<std::uint8_t>(offset & 0xff);
+                        ((len - minMatch) << 4) | ((dist >> 8) & 0x0f));
+                    *op++ = static_cast<std::uint8_t>(dist & 0xff);
                     ip += len;
                     matched = true;
                 }
@@ -205,16 +201,6 @@ compressWith(ConstBytes src, MutableBytes dst, std::uint32_t *table,
         *flags = flag_byte;
     }
     return static_cast<std::size_t>(op - dst.data());
-}
-
-/** Dispatch to the offset-check-free loop for window-sized buffers. */
-std::size_t
-compressDispatch(ConstBytes src, MutableBytes dst, std::uint32_t *table,
-                 std::uint32_t bias)
-{
-    if (src.size() <= maxOffset + 1)
-        return compressWith<false>(src, dst, table, bias);
-    return compressWith<true>(src, dst, table, bias);
 }
 
 } // namespace
@@ -229,13 +215,14 @@ std::size_t
 LzoCodec::compress(ConstBytes src, MutableBytes dst) const
 {
     std::vector<std::uint32_t> table(hashSize, 0);
-    return compressDispatch(src, dst, table.data(), 1);
+    return compressWith(src, dst, table.data(), maxOffset + 1);
 }
 
 std::unique_ptr<Codec::BatchState>
 LzoCodec::makeBatchState() const
 {
-    return std::make_unique<compress_detail::PosTableState>(hashSize);
+    return std::make_unique<compress_detail::PosTableState>(hashSize,
+                                                            maxOffset);
 }
 
 std::size_t
@@ -245,8 +232,7 @@ LzoCodec::compress(ConstBytes src, MutableBytes dst,
     if (!state)
         return compress(src, dst);
     auto &pos = static_cast<compress_detail::PosTableState &>(*state);
-    return compressDispatch(src, dst, pos.data(),
-                            pos.claim(src.size()));
+    return compressWith(src, dst, pos.data(), pos.claim(src.size()));
 }
 
 std::size_t
