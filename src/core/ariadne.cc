@@ -7,8 +7,8 @@ namespace ariadne
 {
 
 AriadneScheme::AriadneScheme(SwapContext context, AriadneConfig config)
-    : SwapScheme(context), cfg(config), codec(makeCodec(cfg.codec)),
-      pool(cfg.zpoolBytes), flashDev(cfg.flashBytes),
+    : SwapScheme(context, makeCodec(config.codec), config.reclaimBatch),
+      cfg(config), pool(cfg.zpoolBytes), flashDev(cfg.flashBytes),
       profiles(cfg.defaultHotInitPages),
       hotOrg(&lruOpCounter, profiles, context.arena), units(cfg),
       stagingBuf(cfg.preDecompEnabled ? cfg.preDecompBufferPages : 0,
@@ -128,49 +128,41 @@ AriadneScheme::onRelaunchEnd(AppId uid)
     hotOrg.endRelaunch(uid);
 }
 
-void
-AriadneScheme::onBackground(AppId uid)
+bool
+AriadneScheme::planBackground(AppId uid)
 {
     if (cfg.excludeHotList)
-        return;
+        return false;
     // AL scenario (§5): all lists are compressed. Like the vendors'
     // proactive compression (§2.3), the backgrounded app's hot list
     // is compressed too — at SmallSize, so the relaunch decompresses
-    // it fast and PreDecomp chains hide most of the latency.
-    Tick before = ctx.cpu.grandTotal();
-    while (PageMeta *victim = hotOrg.popVictim(uid, Hotness::Hot))
-        plan.push_back({{victim}, Hotness::Hot});
-    compressPlan(/*synchronous=*/false);
-    bgReclaimNs += ctx.cpu.grandTotal() - before;
+    // it fast and PreDecomp chains hide most of the latency. Its list
+    // ops are charged by the next pass that charges them.
+    while (PageMeta *victim = hotOrg.popVictim(uid, Hotness::Hot)) {
+        planPage(*victim);
+        planUnit(units.chunkFor(Hotness::Hot), Hotness::Hot);
+    }
+    return true;
 }
 
-bool
+void
 AriadneScheme::writebackUnit(UnitId id, bool synchronous)
 {
     CompUnit &u = units.unit(id);
     panicIf(u.object == invalidObject, "writeback of non-zpool unit");
 
-    FlashSlot slot = flashDev.write(u.csize);
+    FlashSlot slot =
+        writeFlash(flashDev, u.csize, u.pages.size(), synchronous);
     if (slot == invalidFlashSlot) {
         // Swap space exhausted: drop the unit (data loss).
         for (PageMeta *p : u.pages) {
             stagingBuf.invalidate(*p);
-            telemetry::journeyMark(p->key.uid, p->key.pfn,
-                                   telemetry::JourneyStep::Lost,
-                                   ctx.clock.now());
-            ctx.arena.setLocation(*p, PageLocation::Lost);
-            p->objectId = invalidObject;
-            ++lost;
+            dropPage(*p);
         }
         pool.erase(u.object);
         units.destroy(id);
-        return true;
+        return;
     }
-
-    Tick submit = ctx.timing.params().flashSubmitCpuNs;
-    ctx.cpu.charge(CpuRole::IoSubmit, submit);
-    if (synchronous)
-        ctx.clock.advance(submit);
     ctx.activity.flashWriteBytes += u.csize;
 
     for (PageMeta *p : u.pages) {
@@ -184,7 +176,6 @@ AriadneScheme::writebackUnit(UnitId id, bool synchronous)
     pool.erase(u.object);
     u.object = invalidObject;
     u.flashSlot = slot;
-    return true;
 }
 
 bool
@@ -214,64 +205,19 @@ AriadneScheme::ensureZpoolSpace(std::size_t csize, bool synchronous)
     return true;
 }
 
-void
-AriadneScheme::compressPlan(bool synchronous)
+bool
+AriadneScheme::storeUnit(std::span<PageMeta *const> pages,
+                         const PlannedUnit &unit, std::size_t csize,
+                         bool synchronous)
 {
-    planRefs.clear();
-    for (const Victims &unit : plan)
-        for (PageMeta *p : unit.pages)
-            planRefs.push_back(PageRef{p->key, p->version});
-    planRequests.clear();
-    std::size_t at = 0;
-    for (const Victims &unit : plan) {
-        planRequests.push_back(
-            SizeRequest{{planRefs.data() + at, unit.pages.size()},
-                        units.chunkFor(unit.level)});
-        at += unit.pages.size();
-    }
-    planSizes.resize(plan.size());
-    ctx.compressor.sizeAll(planRequests, *codec, planSizes);
+    if (!ensureZpoolSpace(csize, synchronous))
+        return false;
 
-    // Popping every victim before the first commit is popping each
-    // just before its own commit only while commits leave the victim
-    // lists alone.
-    std::uint64_t list_ops = lruOps();
-    committing = true;
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-        commitUnit(std::move(plan[i].pages), plan[i].level,
-                   planSizes[i], synchronous);
-    }
-    committing = false;
-    panicIf(lruOps() != list_ops,
-            "Ariadne reclaim commit changed a victim list");
-    plan.clear();
-}
-
-void
-AriadneScheme::commitUnit(std::vector<PageMeta *> batch, Hotness level,
-                          std::size_t csize, bool synchronous)
-{
-    panicIf(batch.empty(), "empty compression batch");
-    std::size_t chunk = units.chunkFor(level);
-    AppId uid = batch.front()->key.uid;
-    std::size_t in_bytes = batch.size() * pageSize;
-
-    if (!ensureZpoolSpace(csize, synchronous)) {
-        for (PageMeta *p : batch) {
-            telemetry::journeyMark(p->key.uid, p->key.pfn,
-                                   telemetry::JourneyStep::Lost,
-                                   ctx.clock.now());
-            ctx.arena.setLocation(*p, PageLocation::Lost);
-            ++lost;
-            ctx.dram.release(1);
-        }
-        return;
-    }
-
-    for (PageMeta *p : batch)
+    for (PageMeta *p : pages)
         pendingPredictions.erase(p);
-    UnitId id = units.create(std::move(batch), chunk, csize, level,
-                             invalidObject);
+    UnitId id = units.create(
+        std::vector<PageMeta *>(pages.begin(), pages.end()),
+        unit.chunkBytes, csize, unit.level, invalidObject);
     CompUnit &u = units.unit(id);
     ZObjectId obj = pool.insert(csize, id);
     panicIf(obj == invalidObject,
@@ -285,65 +231,54 @@ AriadneScheme::commitUnit(std::vector<PageMeta *> batch, Hotness level,
         ctx.arena.setLocation(*p, PageLocation::Zpool);
     }
 
-    (level == Hotness::Cold ? coldUnitFifo : pageUnitFifo).push_back(id);
+    (unit.level == Hotness::Cold ? coldUnitFifo : pageUnitFifo)
+        .push_back(id);
 
-    chargeCompression(uid, codec->cost(), chunk, in_bytes, csize,
-                      synchronous);
-    ctx.dram.release(u.pages.size());
+    chargeCompression(u.pages.front()->key.uid, unit.chunkBytes,
+                      u.uncompressedBytes(), csize, synchronous);
+    return true;
 }
 
-std::size_t
-AriadneScheme::reclaim(std::size_t pages, bool direct)
+void
+AriadneScheme::planReclaim(std::size_t pages, bool direct)
 {
-    panicIf(committing, "Ariadne reclaim re-entered from a commit");
-    if (direct)
-        ++directRuns;
+    auto plan_one = [this](PageMeta &victim, Hotness level) {
+        planPage(victim);
+        planUnit(units.chunkFor(level), level);
+    };
     std::size_t freed = 0;
-
-    // Plan the whole pass, then size it as one batch and commit it.
     while (freed < pages) {
         // 1. Cold victims, batched into large multi-page units.
         if (PageMeta *victim = hotOrg.popVictim(Hotness::Cold)) {
-            std::vector<PageMeta *> batch{victim};
-            while (batch.size() < cfg.coldUnitPages()) {
+            planPage(*victim);
+            std::size_t batch = 1;
+            while (batch < cfg.coldUnitPages()) {
                 PageMeta *next = hotOrg.peekVictim(Hotness::Cold);
                 if (!next || next->key.uid != victim->key.uid)
                     break;
-                batch.push_back(hotOrg.popVictim(Hotness::Cold));
+                planPage(*hotOrg.popVictim(Hotness::Cold));
+                ++batch;
             }
-            freed += batch.size();
-            plan.push_back({std::move(batch), Hotness::Cold});
+            planUnit(units.chunkFor(Hotness::Cold), Hotness::Cold);
+            freed += batch;
             continue;
         }
         // 2. Warm victims, one page per medium-chunk unit.
         if (PageMeta *victim = hotOrg.popVictim(Hotness::Warm)) {
-            plan.push_back({{victim}, Hotness::Warm});
+            plan_one(*victim, Hotness::Warm);
             ++freed;
             continue;
         }
         // 3. Hot victims: normal in AL mode; emergency-only in EHL.
         if (!cfg.excludeHotList || direct) {
             if (PageMeta *victim = hotOrg.popVictim(Hotness::Hot)) {
-                plan.push_back({{victim}, Hotness::Hot});
+                plan_one(*victim, Hotness::Hot);
                 ++freed;
                 continue;
             }
         }
         break;
     }
-    compressPlan(direct);
-    chargeLruOps(direct);
-    return freed;
-}
-
-void
-AriadneScheme::allocateResident()
-{
-    if (ctx.dram.allocate(1))
-        return;
-    reclaim(cfg.reclaimBatch, true);
-    panicIf(!ctx.dram.allocate(1),
-            "Ariadne direct reclaim failed to free memory");
 }
 
 void
@@ -351,7 +286,7 @@ AriadneScheme::residentizeUnit(CompUnit &unit, PageMeta *hit)
 {
     Tick now = ctx.clock.now();
     for (PageMeta *p : unit.pages) {
-        allocateResident();
+        takeDramPage();
         ctx.arena.setLocation(*p, PageLocation::Resident);
         p->objectId = invalidObject;
         p->flashSlot = invalidFlashSlot;
@@ -414,9 +349,8 @@ AriadneScheme::tryStage(ZObjectId obj)
                                    ctx.clock.now());
             // Speculative decompression runs off the critical path:
             // CPU is charged, the faulting task's clock is not.
-            chargeDecompression(p->key.uid, codec->cost(),
-                                u.chunkBytes, pageSize, u.csize,
-                                /*synchronous=*/false);
+            chargeDecompression(p->key.uid, u.chunkBytes, pageSize,
+                                u.csize, /*synchronous=*/false);
             armPrediction(*p, next);
         }
         return;
@@ -436,22 +370,19 @@ AriadneScheme::tryStage(ZObjectId obj)
     AppId uid = u.pages.front()->key.uid;
     pool.erase(u.object);
     u.object = invalidObject;
-    chargeDecompression(uid, codec->cost(), u.chunkBytes,
-                        u.uncompressedBytes(), u.csize,
-                        /*synchronous=*/false);
+    chargeDecompression(uid, u.chunkBytes, u.uncompressedBytes(),
+                        u.csize, /*synchronous=*/false);
     residentizeUnit(u, nullptr);
     // Chain the speculation through the first touch of any page.
     for (PageMeta *p : u.pages)
         armPrediction(*p, next);
     units.destroy(id);
-    ++preSwapCount;
 }
 
 SwapInResult
-AriadneScheme::swapIn(PageMeta &page)
+AriadneScheme::fetch(PageMeta &page)
 {
     SwapInResult res;
-    Stopwatch sw(ctx.clock);
     AppId uid = page.key.uid;
 
     if (ctx.arena.location(page) == PageLocation::Staged) {
@@ -470,7 +401,7 @@ AriadneScheme::swapIn(PageMeta &page)
         ctx.cpu.charge(CpuRole::FaultPath, t);
         ctx.clock.advance(t);
 
-        allocateResident();
+        takeDramPage();
         ctx.arena.setLocation(page, PageLocation::Resident);
         page.objectId = invalidObject;
         hotOrg.placeAfterSwapIn(page, ctx.clock.now());
@@ -478,28 +409,24 @@ AriadneScheme::swapIn(PageMeta &page)
         if (cfg.preDecompEnabled)
             tryStage(next);
         res.stagedHit = true;
-        res.latencyNs = sw.elapsed();
         return res;
     }
 
-    Tick fault = ctx.timing.params().majorFaultBaseNs;
-    ctx.cpu.charge(CpuRole::FaultPath, fault);
-    ctx.clock.advance(fault);
+    enterMajorFault();
 
     if (ctx.arena.location(page) == PageLocation::Zpool) {
         UnitId id = page.objectId;
         CompUnit &u = units.unit(id);
         faultsPerLevel[static_cast<std::size_t>(
             u.levelAtCompression)] += 1;
-        sectorLog.push_back(pool.sectorOf(u.object));
 
         // Find the speculation candidate before the object vanishes.
         ZObjectId next = pool.nextInSectorOrder(u.object);
 
         pool.erase(u.object);
         u.object = invalidObject;
-        chargeDecompression(uid, codec->cost(), u.chunkBytes,
-                            u.uncompressedBytes(), u.csize, true);
+        chargeDecompression(uid, u.chunkBytes, u.uncompressedBytes(),
+                            u.csize, true);
         residentizeUnit(u, &page);
         units.destroy(id);
 
@@ -508,17 +435,12 @@ AriadneScheme::swapIn(PageMeta &page)
     } else if (ctx.arena.location(page) == PageLocation::Flash) {
         UnitId id = page.objectId;
         CompUnit &u = units.unit(id);
-        flashDev.read(u.flashSlot);
-        flashDev.free(u.flashSlot);
-
         std::size_t csize_pages = (u.csize + pageSize - 1) / pageSize;
-        Tick submit = ctx.timing.params().flashSubmitCpuNs;
-        ctx.cpu.charge(CpuRole::IoSubmit, submit);
-        ctx.clock.advance(submit + ctx.timing.flashReadNs(csize_pages));
-        ctx.activity.flashReadBytes += u.csize;
+        readFlash(flashDev, u.flashSlot,
+                  ctx.timing.flashReadNs(csize_pages));
 
-        chargeDecompression(uid, codec->cost(), u.chunkBytes,
-                            u.uncompressedBytes(), u.csize, true);
+        chargeDecompression(uid, u.chunkBytes, u.uncompressedBytes(),
+                            u.csize, true);
         residentizeUnit(u, &page);
         units.destroy(id);
         res.fromFlash = true;
@@ -526,8 +448,7 @@ AriadneScheme::swapIn(PageMeta &page)
         panic("AriadneScheme::swapIn on resident/lost page");
     }
 
-    chargeLruOps(true);
-    res.latencyNs = sw.elapsed();
+    chargeLruOps();
     return res;
 }
 
@@ -571,12 +492,6 @@ AriadneScheme::onFree(PageMeta &page)
     ctx.arena.setLocation(page, PageLocation::Lost);
     page.objectId = invalidObject;
     page.flashSlot = invalidFlashSlot;
-}
-
-std::size_t
-AriadneScheme::compressedStoredBytes() const
-{
-    return pool.storedBytes() + flashDev.liveBytes();
 }
 
 } // namespace ariadne

@@ -22,7 +22,6 @@
 
 #include <array>
 #include <deque>
-#include <memory>
 #include <unordered_map>
 
 #include "compress/registry.hh"
@@ -47,15 +46,11 @@ class AriadneScheme : public SwapScheme, public HotnessAware
 
     void onAdmit(PageMeta &page) override;
     void onAccess(PageMeta &page) override;
-    SwapInResult swapIn(PageMeta &page) override;
     void onFree(PageMeta &page) override;
-    std::size_t reclaim(std::size_t pages, bool direct) override;
 
     void onRelaunchStart(AppId uid) override;
     void onRelaunchEnd(AppId uid) override;
-    void onBackground(AppId uid) override;
 
-    std::size_t compressedStoredBytes() const override;
     const Zpool *zpool() const override { return &pool; }
     const FlashDevice *flash() const override { return &flashDev; }
 
@@ -87,13 +82,6 @@ class AriadneScheme : public SwapScheme, public HotnessAware
     /** Configuration in effect. */
     const AriadneConfig &config() const noexcept { return cfg; }
 
-    /** Sector access log during swap-ins (locality analysis). */
-    const std::vector<Sector> &
-    sectorAccessLog() const noexcept
-    {
-        return sectorLog;
-    }
-
     /** Swap-in faults by the hotness the unit was compressed at. */
     std::uint64_t
     faultsByLevel(Hotness level) const noexcept
@@ -101,38 +89,19 @@ class AriadneScheme : public SwapScheme, public HotnessAware
         return faultsPerLevel[static_cast<std::size_t>(level)];
     }
 
-    /** Multi-page units pre-swapped ahead of use (PreDecomp). */
-    std::uint64_t
-    preSwappedUnits() const noexcept
-    {
-        return preSwapCount;
-    }
-
-    /** Clear analysis logs between scenario phases. */
-    void clearLogs() { sectorLog.clear(); }
-
   private:
-    /** Same-app victims popped to form one compressed unit. */
-    struct Victims
-    {
-        std::vector<PageMeta *> pages;
-        Hotness level;
-    };
-
-    /** Size every unit of plan as one batch, then commit them in
-     * order (the plan is empty afterwards). */
-    void compressPlan(bool synchronous);
-
-    /** Store the unit @p batch, compressed to @p csize bytes, in the
-     * zpool, spilling older units to flash as needed. */
-    void commitUnit(std::vector<PageMeta *> batch, Hotness level,
-                    std::size_t csize, bool synchronous);
+    void planReclaim(std::size_t pages, bool direct) override;
+    bool planBackground(AppId uid) override;
+    bool storeUnit(std::span<PageMeta *const> pages,
+                   const PlannedUnit &unit, std::size_t csize,
+                   bool synchronous) override;
+    SwapInResult fetch(PageMeta &page) override;
 
     /** Spill compressed units to flash until @p csize fits. */
     bool ensureZpoolSpace(std::size_t csize, bool synchronous);
 
     /** Write one unit's object back to flash; pages -> Flash. */
-    bool writebackUnit(UnitId id, bool synchronous);
+    void writebackUnit(UnitId id, bool synchronous);
 
     /** Try to stage / pre-swap the data owning zpool object @p obj. */
     void tryStage(ZObjectId obj);
@@ -146,11 +115,7 @@ class AriadneScheme : public SwapScheme, public HotnessAware
     /** Make the pages of @p unit resident; faulting page is @p hit. */
     void residentizeUnit(CompUnit &unit, PageMeta *hit);
 
-    /** Allocate one resident page, direct-reclaiming if needed. */
-    void allocateResident();
-
     AriadneConfig cfg;
-    std::unique_ptr<Codec> codec;
     Zpool pool;
     FlashDevice flashDev;
     ProfileStore profiles;
@@ -162,7 +127,6 @@ class AriadneScheme : public SwapScheme, public HotnessAware
     std::deque<UnitId> coldUnitFifo;
     std::deque<UnitId> pageUnitFifo;
 
-    std::vector<Sector> sectorLog;
     std::array<std::uint64_t, 3> faultsPerLevel{};
 
     /**
@@ -171,16 +135,6 @@ class AriadneScheme : public SwapScheme, public HotnessAware
      * object so sequential runs keep exactly one unit of lookahead.
      */
     std::unordered_map<const PageMeta *, ZObjectId> pendingPredictions;
-    std::uint64_t preSwapCount = 0;
-
-    /** Units of the pass being planned, in pop order. */
-    std::vector<Victims> plan;
-    /** Set while compressPlan() commits; reclaim() must not run. */
-    bool committing = false;
-    // Size-batch scratch of compressPlan().
-    std::vector<PageRef> planRefs;
-    std::vector<SizeRequest> planRequests;
-    std::vector<std::size_t> planSizes;
 };
 
 /** Registry entry for `scheme = ariadne` (see scheme_registry.cc). */

@@ -78,9 +78,8 @@ AriadneConfig::toString() const
 {
     std::string s = "Ariadne-";
     s += excludeHotList ? "EHL" : "AL";
-    s += "-" + sizeToken(smallSize);
-    s += "-" + sizeToken(mediumSize);
-    s += "-" + sizeToken(largeSize);
+    for (std::size_t size : {smallSize, mediumSize, largeSize})
+        s.append("-").append(sizeToken(size));
     return s;
 }
 

@@ -192,31 +192,6 @@ JsonWriter::formatDouble(double v)
 }
 
 void
-writeJson(JsonWriter &w, const StatRegistry &registry)
-{
-    w.beginObject();
-    w.key("counters");
-    w.beginObject();
-    for (const auto &[name, c] : registry.allCounters())
-        w.field(name, c->value());
-    w.endObject();
-    w.key("scalars");
-    w.beginObject();
-    for (const auto &[name, s] : registry.allScalars()) {
-        w.key(name);
-        w.beginObject();
-        w.field("mean", s->mean());
-        w.field("min", s->min());
-        w.field("max", s->max());
-        w.field("sum", s->sum());
-        w.field("samples", s->samples());
-        w.endObject();
-    }
-    w.endObject();
-    w.endObject();
-}
-
-void
 writeJson(JsonWriter &w, const ReportTable &table)
 {
     const auto &columns = table.columnNames();

@@ -313,45 +313,4 @@ Histogram::reset() noexcept
     total = 0;
 }
 
-void
-StatRegistry::addCounter(const std::string &name, const Counter &c)
-{
-    auto [it, inserted] = counters.emplace(name, &c);
-    (void)it;
-    fatalIf(!inserted, "duplicate counter name: " + name);
-}
-
-void
-StatRegistry::addScalar(const std::string &name, const Scalar &s)
-{
-    auto [it, inserted] = scalars.emplace(name, &s);
-    (void)it;
-    fatalIf(!inserted, "duplicate scalar name: " + name);
-}
-
-void
-StatRegistry::dump(std::ostream &os) const
-{
-    for (const auto &[name, c] : counters)
-        os << name << " " << c->value() << "\n";
-    for (const auto &[name, s] : scalars) {
-        os << name << ".mean " << s->mean() << "\n";
-        os << name << ".samples " << s->samples() << "\n";
-    }
-}
-
-const Counter *
-StatRegistry::findCounter(const std::string &name) const
-{
-    auto it = counters.find(name);
-    return it == counters.end() ? nullptr : it->second;
-}
-
-const Scalar *
-StatRegistry::findScalar(const std::string &name) const
-{
-    auto it = scalars.find(name);
-    return it == scalars.end() ? nullptr : it->second;
-}
-
 } // namespace ariadne

@@ -1,11 +1,8 @@
 /**
  * @file
- * Lightweight statistics package: named counters, scalar samples and
- * histograms collected into a registry that can be dumped as text.
- *
- * Components own their stats; the registry only references them, so
- * stat objects must outlive the registry dump (all components live for
- * the duration of a simulation).
+ * Lightweight statistics package: event counters, exact sample
+ * distributions, mergeable percentile sketches and fixed-bucket
+ * histograms.
  */
 
 #ifndef ARIADNE_SIM_STATS_HH
@@ -13,9 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -43,50 +38,6 @@ class Counter
 
   private:
     std::uint64_t count = 0;
-};
-
-/** Running scalar statistic: sum, min, max, mean over samples. */
-class Scalar
-{
-  public:
-    Scalar() = default;
-
-    /** Record one sample. */
-    void
-    sample(double v) noexcept
-    {
-        total += v;
-        n += 1;
-        lo = (n == 1) ? v : std::min(lo, v);
-        hi = (n == 1) ? v : std::max(hi, v);
-    }
-
-    double sum() const noexcept { return total; }
-    std::uint64_t samples() const noexcept { return n; }
-    double min() const noexcept { return n ? lo : 0.0; }
-    double max() const noexcept { return n ? hi : 0.0; }
-
-    /** Arithmetic mean of samples; 0 when empty. */
-    double
-    mean() const noexcept
-    {
-        return n ? total / static_cast<double>(n) : 0.0;
-    }
-
-    /** Reset to the empty state. */
-    void
-    reset() noexcept
-    {
-        total = 0.0;
-        n = 0;
-        lo = hi = 0.0;
-    }
-
-  private:
-    double total = 0.0;
-    std::uint64_t n = 0;
-    double lo = 0.0;
-    double hi = 0.0;
 };
 
 /**
@@ -307,47 +258,6 @@ class Histogram
     std::vector<std::uint64_t> bins;
     std::uint64_t overflow = 0;
     std::uint64_t total = 0;
-};
-
-/**
- * Registry mapping hierarchical stat names ("zram.compressedPages") to
- * component-owned stat objects for a consolidated dump.
- */
-class StatRegistry
-{
-  public:
-    /** Register a counter under @p name; name must be unique. */
-    void addCounter(const std::string &name, const Counter &c);
-
-    /** Register a scalar under @p name; name must be unique. */
-    void addScalar(const std::string &name, const Scalar &s);
-
-    /** Write "name value" lines, sorted by name. */
-    void dump(std::ostream &os) const;
-
-    /** Look up a registered counter; nullptr when absent. */
-    const Counter *findCounter(const std::string &name) const;
-
-    /** Look up a registered scalar; nullptr when absent. */
-    const Scalar *findScalar(const std::string &name) const;
-
-    /** All registered counters, sorted by name. */
-    const std::map<std::string, const Counter *> &
-    allCounters() const noexcept
-    {
-        return counters;
-    }
-
-    /** All registered scalars, sorted by name. */
-    const std::map<std::string, const Scalar *> &
-    allScalars() const noexcept
-    {
-        return scalars;
-    }
-
-  private:
-    std::map<std::string, const Counter *> counters;
-    std::map<std::string, const Scalar *> scalars;
 };
 
 } // namespace ariadne

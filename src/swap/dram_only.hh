@@ -37,12 +37,6 @@ class DramOnlyScheme : public SwapScheme
         ctx.arena.setLastAccess(page, ctx.clock.now());
     }
 
-    SwapInResult
-    swapIn(PageMeta &) override
-    {
-        panic("DramOnlyScheme never swaps pages out");
-    }
-
     void
     onFree(PageMeta &page) override
     {
@@ -51,11 +45,21 @@ class DramOnlyScheme : public SwapScheme
         ctx.arena.setLocation(page, PageLocation::Lost);
     }
 
-    std::size_t
-    reclaim(std::size_t, bool) override
+  private:
+    /** Nothing to reclaim: anonymous pages are never evicted. */
+    void planReclaim(std::size_t, bool) override {}
+
+    bool
+    storeUnit(std::span<PageMeta *const>, const PlannedUnit &,
+              std::size_t, bool) override
     {
-        // Nothing to reclaim: anonymous pages are never evicted.
-        return 0;
+        panic("DramOnlyScheme plans no units");
+    }
+
+    SwapInResult
+    fetch(PageMeta &) override
+    {
+        panic("DramOnlyScheme never swaps pages out");
     }
 };
 

@@ -11,11 +11,7 @@ namespace
 telemetry::Counter c_wakeup("kswapd.wakeup");
 telemetry::Counter c_reclaimedPages("kswapd.reclaimed_pages");
 telemetry::DurationProbe d_run("kswapd.run");
-// The reclaim scan proper (victim selection + compression), i.e. the
-// wall time the SoA metadata walk is supposed to shrink — separate
-// from kswapd.run, which also covers wakeup bookkeeping.
 telemetry::Counter c_scanPages("kswapd.scan_pages");
-telemetry::DurationProbe d_scan("kswapd.scan");
 
 } // namespace
 
@@ -33,11 +29,7 @@ Kswapd::runReclaim()
     // for list maintenance).
     Tick before = ctx.cpu.grandTotal();
     std::size_t want = ctx.dram.reclaimTarget();
-    std::size_t freed;
-    {
-        telemetry::ScopedTimer scan(d_scan);
-        freed = target.reclaim(want, /*direct=*/false);
-    }
+    std::size_t freed = target.reclaim(want, /*direct=*/false);
     c_scanPages.add(freed);
     Tick after = ctx.cpu.grandTotal();
     totalCpuNs += after - before;

@@ -16,9 +16,12 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "compress/codec.hh"
 #include "mem/dram.hh"
 #include "mem/flash.hh"
 #include "mem/page.hh"
@@ -100,11 +103,21 @@ struct SwapInResult
     bool stagedHit = false; //!< served from the PreDecomp buffer
 };
 
-/** Abstract compressed-swap scheme. */
+/**
+ * Abstract swap scheme: every step the schemes share, and its counter,
+ * is written once here (reclaim pass, drop, flash I/O, fault entry,
+ * taking a DRAM page). A scheme adds its policy: victims and units
+ * (planReclaim, planBackground), storeUnit and fetch.
+ */
 class SwapScheme
 {
   public:
-    explicit SwapScheme(SwapContext context) : ctx(context) {}
+    explicit SwapScheme(SwapContext context,
+                        std::unique_ptr<Codec> unit_codec = nullptr,
+                        std::size_t reclaim_batch = 0)
+        : ctx(context), codec(std::move(unit_codec)),
+          reclaimBatch(reclaim_batch)
+    {}
     virtual ~SwapScheme() = default;
 
     SwapScheme(const SwapScheme &) = delete;
@@ -120,7 +133,7 @@ class SwapScheme
     virtual void onAccess(PageMeta &page) = 0;
 
     /** Bring a non-resident page back; advances the clock. */
-    virtual SwapInResult swapIn(PageMeta &page) = 0;
+    SwapInResult swapIn(PageMeta &page);
 
     /** Page is going away (app killed / freed). */
     virtual void onFree(PageMeta &page) = 0;
@@ -131,16 +144,18 @@ class SwapScheme
      * (advances the clock); false for background kswapd work.
      * @return pages actually freed.
      */
-    virtual std::size_t reclaim(std::size_t pages, bool direct) = 0;
+    std::size_t reclaim(std::size_t pages, bool direct);
 
     /** App lifecycle hints. */
-    virtual void onLaunch(AppId) {}
     virtual void onRelaunchStart(AppId) {}
     virtual void onRelaunchEnd(AppId) {}
-    virtual void onBackground(AppId) {}
 
-    /** Compressed bytes currently stored (zpool + flash). */
-    virtual std::size_t compressedStoredBytes() const { return 0; }
+    /** App backgrounded: run the scheme's proactive pass, if any. */
+    void onBackground(AppId uid);
+
+    /** Compressed bytes stored: the zpool and, when the scheme has
+     * one, the flash its writeback fills (0 without a zpool). */
+    std::size_t compressedStoredBytes() const;
 
     /** Underlying pool, when the scheme has one. */
     virtual const Zpool *zpool() const { return nullptr; }
@@ -177,6 +192,9 @@ class SwapScheme
     /** Direct-reclaim invocations (on-demand compression events). */
     std::uint64_t directReclaims() const noexcept { return directRuns; }
 
+    /** Pages freed by all reclaim passes (kswapd, direct, proactive). */
+    std::uint64_t reclaimedPages() const noexcept { return reclaimed; }
+
     /** LRU list operations performed by this scheme. */
     std::uint64_t lruOps() const noexcept { return lruOpCounter.value(); }
 
@@ -189,19 +207,70 @@ class SwapScheme
     Tick backgroundReclaimCpuNs() const noexcept { return bgReclaimNs; }
 
   protected:
+    /** Planned pages [first, first + pages) as one unit. */
+    struct PlannedUnit
+    {
+        std::size_t first;
+        std::size_t pages;
+        std::size_t chunkBytes;
+        Hotness level;
+    };
+
+    /** Policy: plan (planPage, planUnit) victims for a pass freeing
+     * at least @p pages; planning only pops them. */
+    virtual void planReclaim(std::size_t pages, bool direct) = 0;
+
+    /** Policy: plan the proactive pass for backgrounded @p uid;
+     * false when the scheme has none. */
+    virtual bool planBackground(AppId) { return false; }
+
+    /** Policy: store a planned unit of @p csize bytes (raw size when
+     * there is no codec); false drops its pages. */
+    virtual bool storeUnit(std::span<PageMeta *const> pages,
+                           const PlannedUnit &unit, std::size_t csize,
+                           bool synchronous) = 0;
+
+    /** Policy: make non-resident @p page resident again. */
+    virtual SwapInResult fetch(PageMeta &page) = 0;
+
+    /** Plan @p page as the next page of the unit being planned. */
+    void planPage(PageMeta &page) { planPages.push_back(&page); }
+
+    /** Close the unit of the pages planned since the last one. */
+    void planUnit(std::size_t chunk_bytes, Hotness level);
+
+    /** Lose @p page's data; an access must recreate it. */
+    void dropPage(PageMeta &page);
+
+    /** Write @p bytes of @p pages pages to @p dev (the clock waits for
+     * the submission only when @p synchronous).
+     * @return invalidFlashSlot when the device is full. */
+    FlashSlot writeFlash(FlashDevice &dev, std::size_t bytes,
+                         std::size_t pages, bool synchronous);
+
+    /** Read and free @p slot on the fault path; the clock waits for
+     * the submission and @p device_ns. @return bytes read. */
+    std::size_t readFlash(FlashDevice &dev, FlashSlot slot,
+                          Tick device_ns);
+
+    /** Charge the base cost of a major fault. */
+    void enterMajorFault();
+
+    /** Allocate one DRAM page, direct-reclaiming when DRAM is full. */
+    void takeDramPage();
+
     /**
      * Account one compression of @p in_bytes -> @p out_bytes at
      * @p chunk_bytes chunks: model CPU time, energy-relevant DRAM
      * traffic, per-app stats; advances the clock when @p synchronous.
      * @return modeled compression time.
      */
-    Tick chargeCompression(AppId uid, const CodecCost &cost,
-                           std::size_t chunk_bytes, std::size_t in_bytes,
-                           std::size_t out_bytes, bool synchronous);
+    Tick chargeCompression(AppId uid, std::size_t chunk_bytes,
+                           std::size_t in_bytes, std::size_t out_bytes,
+                           bool synchronous);
 
     /** Mirror of chargeCompression for decompression. */
-    Tick chargeDecompression(AppId uid, const CodecCost &cost,
-                             std::size_t chunk_bytes,
+    Tick chargeDecompression(AppId uid, std::size_t chunk_bytes,
                              std::size_t out_bytes,
                              std::size_t stored_bytes,
                              bool synchronous);
@@ -212,17 +281,39 @@ class SwapScheme
      * op is ~100x cheaper than a swap (§6.4) and its latency is
      * already folded into the fault/touch base costs.
      */
-    void chargeLruOps(bool synchronous);
+    void chargeLruOps();
 
     SwapContext ctx;
-    std::map<AppId, CompStats> perApp;
+    /** Unit codec; nullptr when pages are stored uncompressed. */
+    std::unique_ptr<Codec> codec;
+    /** Pages per reclaim batch; takeDramPage() reclaims this many. */
+    const std::size_t reclaimBatch;
     Counter lruOpCounter;
-    std::uint64_t lost = 0;
-    std::uint64_t directRuns = 0;
-    Tick bgReclaimNs = 0;
 
   private:
+    /** Size the plan as one batch, then store its units in plan
+     * order. @return pages freed. */
+    std::size_t commitPlan(bool synchronous);
+
+    /** Charge one flash I/O submission; a synchronous caller waits
+     * for it and @p device_ns. */
+    void submitFlash(Tick device_ns, bool synchronous);
+
+    std::map<AppId, CompStats> perApp;
     std::uint64_t chargedLruOps = 0;
+    std::uint64_t lost = 0;
+    std::uint64_t directRuns = 0;
+    std::uint64_t reclaimed = 0;
+    Tick bgReclaimNs = 0;
+
+    // The pass being planned, and its size-batch scratch.
+    std::vector<PageMeta *> planPages;
+    std::vector<PlannedUnit> planUnits;
+    std::vector<PageRef> planRefs;
+    std::vector<SizeRequest> planRequests;
+    std::vector<std::size_t> planSizes;
+    /** Set while commitPlan() stores; reclaim() must not run. */
+    bool committing = false;
 };
 
 } // namespace ariadne

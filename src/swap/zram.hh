@@ -19,8 +19,7 @@
 #include <vector>
 
 #include "compress/registry.hh"
-#include "mem/lru_list.hh"
-#include "swap/scheme.hh"
+#include "swap/app_lru.hh"
 #include "swap/scheme_registry.hh"
 
 namespace ariadne
@@ -51,21 +50,14 @@ struct ZramConfig
 };
 
 /** The state-of-the-art compressed swap baseline. */
-class ZramScheme : public SwapScheme
+class ZramScheme : public AppLruScheme
 {
   public:
     ZramScheme(SwapContext context, ZramConfig config);
 
     std::string name() const override;
 
-    void onAdmit(PageMeta &page) override;
-    void onAccess(PageMeta &page) override;
-    SwapInResult swapIn(PageMeta &page) override;
-    void onFree(PageMeta &page) override;
-    std::size_t reclaim(std::size_t pages, bool direct) override;
-    void onBackground(AppId uid) override;
 
-    std::size_t compressedStoredBytes() const override;
     const Zpool *zpool() const override { return &pool; }
     const FlashDevice *flash() const override { return flashDev.get(); }
 
@@ -99,18 +91,12 @@ class ZramScheme : public SwapScheme
     }
 
   private:
-    struct AppState
-    {
-        AppState(AppId uid_, Counter *ops)
-            : uid(uid_), resident(ops)
-        {}
-        AppId uid;
-        LruList resident;
-        Tick lastAccess = 0;
-    };
-
-    AppState &stateFor(AppId uid);
-    AppState *oldestAppWithPages();
+    bool planBackground(AppId uid) override;
+    void releaseStored(PageMeta &page) override;
+    bool storeUnit(std::span<PageMeta *const> pages,
+                   const PlannedUnit &unit, std::size_t csize,
+                   bool synchronous) override;
+    SwapInResult fetch(PageMeta &page) override;
 
     /**
      * Make room in the zpool for an object of @p csize, evicting (or
@@ -119,39 +105,14 @@ class ZramScheme : public SwapScheme
      */
     bool ensureZpoolSpace(std::size_t csize, bool synchronous);
 
-    /** Store one victim page, compressed to @p csize bytes, in the
-     * pool (or spill/lose it). */
-    void compressOut(PageMeta &victim, std::size_t csize,
-                     bool synchronous);
-
-    /** Pop up to @p limit LRU-tail victims of @p app into victims. */
-    std::size_t popTail(AppState &app, std::size_t limit);
-
-    /** Size every page of victims as one batch, then compress each
-     * out in order (victims is empty afterwards). */
-    void compressVictims(bool synchronous);
-
     ZramConfig cfg;
-    std::unique_ptr<Codec> codec;
     Zpool pool;
     std::unique_ptr<FlashDevice> flashDev;
-    /** Sorted by uid (intrusive list heads need stable addresses,
-     * hence unique_ptr; scans run in uid order like std::map did). */
-    std::vector<std::unique_ptr<AppState>> appStates;
     /** Compressed objects in insertion order with owner cross-check. */
     std::deque<std::pair<ZObjectId, const PageMeta *>> compressedFifo;
 
     std::vector<CompressionEvent> compLog;
     std::vector<Sector> sectorLog;
-
-    /** Pages of the pass being planned, in pop order. */
-    std::vector<PageMeta *> victims;
-    /** Set while compressVictims() commits; reclaim() must not run. */
-    bool committing = false;
-    // Size-batch scratch of compressVictims().
-    std::vector<PageRef> victimRefs;
-    std::vector<SizeRequest> victimRequests;
-    std::vector<std::size_t> victimSizes;
 };
 
 /** Registry entry for `scheme = zram` (see scheme_registry.cc). */

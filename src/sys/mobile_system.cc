@@ -373,7 +373,6 @@ MobileSystem::runColdLaunch(AppId uid,
     telemetry::TraceSpan span("cold_launch", "uid", uid);
     if (observer)
         observer->onOp(TraceOp::Launch, uid, 0, simClock.now());
-    swapScheme->onLaunch(uid);
     Tick create = timing.params().processCreateNs;
     cpuAccount.charge(CpuRole::AppExecution, create);
     simClock.advance(create);

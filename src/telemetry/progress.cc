@@ -66,25 +66,26 @@ std::string
 ProgressMeter::formatLine(const std::string &label, std::uint64_t done,
                           std::uint64_t total, double elapsed_seconds)
 {
-    std::string line = "progress: " + label + " " +
-                       std::to_string(done);
+    std::string line = "progress: ";
+    line.append(label).append(" ").append(std::to_string(done));
     if (total) {
         double pct = 100.0 * static_cast<double>(done) /
                      static_cast<double>(total);
-        line += "/" + std::to_string(total) + " sessions (" +
-                fixed1(pct) + "%)";
+        line.append("/").append(std::to_string(total));
+        line.append(" sessions (").append(fixed1(pct)).append("%)");
     } else {
         line += " sessions";
     }
     if (elapsed_seconds > 0.0) {
         double rate = static_cast<double>(done) / elapsed_seconds;
-        line += ", " + fixed1(rate) + " sessions/s";
+        line.append(", ").append(fixed1(rate)).append(" sessions/s");
         if (total && rate > 0.0 && done < total) {
             double eta =
                 static_cast<double>(total - done) / rate;
-            line += ", eta " + fixed1(eta) + "s";
+            line.append(", eta ").append(fixed1(eta)).append("s");
         }
     }
+
     return line;
 }
 

@@ -106,25 +106,6 @@ TEST(JsonWriter, BooleansAndNull)
     EXPECT_EQ(text, "[true,false,null]");
 }
 
-TEST(JsonWriter, StatRegistryDump)
-{
-    StatRegistry reg;
-    Counter c;
-    c.inc(3);
-    Scalar s;
-    s.sample(2.0);
-    s.sample(4.0);
-    reg.addCounter("zram.pages", c);
-    reg.addScalar("fault.ns", s);
-
-    std::string text = compact(
-        [&](JsonWriter &w) { writeJson(w, reg); });
-    EXPECT_NE(text.find("\"zram.pages\": 3"), std::string::npos);
-    EXPECT_NE(text.find("\"fault.ns\""), std::string::npos);
-    EXPECT_NE(text.find("\"mean\": 3"), std::string::npos);
-    EXPECT_NE(text.find("\"samples\": 2"), std::string::npos);
-}
-
 TEST(JsonWriter, ReportTableDump)
 {
     ReportTable table({"App", "ms"});

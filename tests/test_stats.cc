@@ -24,30 +24,6 @@ TEST(Counter, StartsAtZeroAndIncrements)
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Scalar, TracksSumMinMaxMean)
-{
-    Scalar s;
-    EXPECT_EQ(s.samples(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    s.sample(2.0);
-    s.sample(4.0);
-    s.sample(-1.0);
-    EXPECT_EQ(s.samples(), 3u);
-    EXPECT_DOUBLE_EQ(s.sum(), 5.0);
-    EXPECT_DOUBLE_EQ(s.min(), -1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 4.0);
-    EXPECT_NEAR(s.mean(), 5.0 / 3.0, 1e-12);
-}
-
-TEST(Scalar, ResetClears)
-{
-    Scalar s;
-    s.sample(10.0);
-    s.reset();
-    EXPECT_EQ(s.samples(), 0u);
-    EXPECT_DOUBLE_EQ(s.min(), 0.0);
-}
-
 TEST(Histogram, BucketsSamples)
 {
     Histogram h(1.0, 4);
@@ -355,29 +331,3 @@ TEST(PercentileModeNames, RoundTrip)
     EXPECT_FALSE(parsePercentileModeName("median").has_value());
 }
 
-TEST(StatRegistry, DumpContainsEntries)
-{
-    StatRegistry reg;
-    Counter c;
-    c.inc(3);
-    Scalar s;
-    s.sample(1.0);
-    reg.addCounter("a.counter", c);
-    reg.addScalar("b.scalar", s);
-
-    std::ostringstream os;
-    reg.dump(os);
-    std::string text = os.str();
-    EXPECT_NE(text.find("a.counter 3"), std::string::npos);
-    EXPECT_NE(text.find("b.scalar.mean 1"), std::string::npos);
-}
-
-TEST(StatRegistry, FindWorks)
-{
-    StatRegistry reg;
-    Counter c;
-    reg.addCounter("x", c);
-    EXPECT_EQ(reg.findCounter("x"), &c);
-    EXPECT_EQ(reg.findCounter("missing"), nullptr);
-    EXPECT_EQ(reg.findScalar("x"), nullptr);
-}

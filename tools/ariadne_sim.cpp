@@ -719,9 +719,10 @@ injectJourneysIntoTrace()
         std::uint32_t tid = 1000 + e.session;
         log.nameSyntheticThread(
             tid, "journeys session " + std::to_string(e.session));
-        std::string name = "u" + std::to_string(e.uid) + ".p" +
-                           std::to_string(e.pfn) + " " +
-                           telemetry::journeyStepName(e.step);
+        std::string name = "u";
+        name.append(std::to_string(e.uid)).append(".p");
+        name.append(std::to_string(e.pfn)).append(" ");
+        name.append(telemetry::journeyStepName(e.step));
         log.instant(std::move(name), e.tNs, tid,
                     e.detail ? "detail" : nullptr, e.detail);
     }
