@@ -10,9 +10,8 @@ AriadneScheme::AriadneScheme(SwapContext context, AriadneConfig config)
     : SwapScheme(context, makeCodec(config.codec), config.reclaimBatch),
       cfg(config), pool(cfg.zpoolBytes), flashDev(cfg.flashBytes),
       profiles(cfg.defaultHotInitPages),
-      hotOrg(&lruOpCounter, profiles, context.arena), units(cfg),
-      stagingBuf(cfg.preDecompEnabled ? cfg.preDecompBufferPages : 0,
-                 context.arena)
+      hotOrg(&lruOpCounter, profiles), units(cfg),
+      stagingBuf(cfg.preDecompEnabled ? cfg.preDecompBufferPages : 0)
 {
 }
 
@@ -47,8 +46,6 @@ ariadneSchemeInfo()
          "predictive pre-decompression (the D3 ablation axis)"},
         {"predecomp_buffer_pages", "u64", "8",
          "staging-buffer capacity in pages"},
-        {"predecomp_depth", "u64", "1",
-         "pages pre-decompressed per trigger"},
         {"hot_init_pages", "u64", "4096",
          "fallback hot-list seed when no profile exists (the D1 "
          "ablation axis)"},
@@ -77,8 +74,6 @@ ariadneSchemeInfo()
             params.getBool("predecomp", ac.preDecompEnabled);
         ac.preDecompBufferPages = params.getU64(
             "predecomp_buffer_pages", ac.preDecompBufferPages);
-        ac.preDecompDepth =
-            params.getU64("predecomp_depth", ac.preDecompDepth);
         ac.defaultHotInitPages = params.getU64(
             "hot_init_pages", ac.defaultHotInitPages);
         // `seed_profiles` is schema-validated here but consumed by
@@ -170,7 +165,7 @@ AriadneScheme::writebackUnit(UnitId id, bool synchronous)
         telemetry::journeyMark(p->key.uid, p->key.pfn,
                                telemetry::JourneyStep::Writeback,
                                ctx.clock.now(), u.csize);
-        ctx.arena.setLocation(*p, PageLocation::Flash);
+        p->location = PageLocation::Flash;
         p->flashSlot = slot;
     }
     pool.erase(u.object);
@@ -228,7 +223,7 @@ AriadneScheme::storeUnit(std::span<PageMeta *const> pages,
         telemetry::journeyMark(p->key.uid, p->key.pfn,
                                telemetry::JourneyStep::Zram,
                                ctx.clock.now(), csize);
-        ctx.arena.setLocation(*p, PageLocation::Zpool);
+        p->location = PageLocation::Zpool;
     }
 
     (unit.level == Hotness::Cold ? coldUnitFifo : pageUnitFifo)
@@ -287,7 +282,7 @@ AriadneScheme::residentizeUnit(CompUnit &unit, PageMeta *hit)
     Tick now = ctx.clock.now();
     for (PageMeta *p : unit.pages) {
         takeDramPage();
-        ctx.arena.setLocation(*p, PageLocation::Resident);
+        p->location = PageLocation::Resident;
         p->objectId = invalidObject;
         p->flashSlot = invalidFlashSlot;
         if (p == hit) {
@@ -341,7 +336,7 @@ AriadneScheme::tryStage(ZObjectId obj)
         // Single page: decompress into the staging buffer ("we
         // pre-decompress only one compressed page at a time", §4.4).
         PageMeta *p = u.pages.front();
-        if (ctx.arena.location(*p) != PageLocation::Zpool)
+        if (p->location != PageLocation::Zpool)
             return;
         if (stagingBuf.stage(*p)) {
             telemetry::journeyMark(p->key.uid, p->key.pfn,
@@ -364,7 +359,7 @@ AriadneScheme::tryStage(ZObjectId obj)
         return;
     }
     for (PageMeta *p : u.pages) {
-        if (ctx.arena.location(*p) != PageLocation::Zpool)
+        if (p->location != PageLocation::Zpool)
             return;
     }
     AppId uid = u.pages.front()->key.uid;
@@ -385,7 +380,7 @@ AriadneScheme::fetch(PageMeta &page)
     SwapInResult res;
     AppId uid = page.key.uid;
 
-    if (ctx.arena.location(page) == PageLocation::Staged) {
+    if (page.location == PageLocation::Staged) {
         // PreDecomp hit: only a page copy plus bookkeeping remains.
         stagingBuf.consume(page);
         UnitId id = page.objectId;
@@ -402,7 +397,7 @@ AriadneScheme::fetch(PageMeta &page)
         ctx.clock.advance(t);
 
         takeDramPage();
-        ctx.arena.setLocation(page, PageLocation::Resident);
+        page.location = PageLocation::Resident;
         page.objectId = invalidObject;
         hotOrg.placeAfterSwapIn(page, ctx.clock.now());
         ctx.activity.dramBytes += pageSize;
@@ -414,7 +409,7 @@ AriadneScheme::fetch(PageMeta &page)
 
     enterMajorFault();
 
-    if (ctx.arena.location(page) == PageLocation::Zpool) {
+    if (page.location == PageLocation::Zpool) {
         UnitId id = page.objectId;
         CompUnit &u = units.unit(id);
         faultsPerLevel[static_cast<std::size_t>(
@@ -432,7 +427,7 @@ AriadneScheme::fetch(PageMeta &page)
 
         if (cfg.preDecompEnabled)
             tryStage(next);
-    } else if (ctx.arena.location(page) == PageLocation::Flash) {
+    } else if (page.location == PageLocation::Flash) {
         UnitId id = page.objectId;
         CompUnit &u = units.unit(id);
         std::size_t csize_pages = (u.csize + pageSize - 1) / pageSize;
@@ -456,7 +451,7 @@ void
 AriadneScheme::onFree(PageMeta &page)
 {
     pendingPredictions.erase(&page);
-    switch (ctx.arena.location(page)) {
+    switch (page.location) {
       case PageLocation::Resident:
         hotOrg.unlink(page);
         ctx.dram.release(1);
@@ -489,7 +484,7 @@ AriadneScheme::onFree(PageMeta &page)
     telemetry::journeyMark(page.key.uid, page.key.pfn,
                            telemetry::JourneyStep::Free,
                            ctx.clock.now());
-    ctx.arena.setLocation(page, PageLocation::Lost);
+    page.location = PageLocation::Lost;
     page.objectId = invalidObject;
     page.flashSlot = invalidFlashSlot;
 }

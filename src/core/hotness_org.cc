@@ -12,9 +12,9 @@ namespace ariadne
 namespace
 {
 
-// The relaunch hot->warm demotion is the hotness-decay walk; the SoA
-// level array plus walking the hot list (the only pages whose level
-// changes) is what keeps it cheap.
+// The relaunch hot->warm demotion is the hotness-decay walk; walking
+// only the hot list (the only pages whose level changes) is what
+// keeps it cheap.
 telemetry::Counter c_decayPages("hotness.decay_pages");
 telemetry::DurationProbe d_decay("hotness.decay");
 
@@ -91,7 +91,6 @@ HotnessOrg::admit(PageMeta &page, Tick now)
 {
     AppLists &app = listsFor(page.key.uid);
     app.lastAccess = now;
-    arena.setLastAccess(page, now);
 
     // Hotness initialization: the first hotInitTarget pages admitted
     // for this app (its launch data) seed the hot list; everything
@@ -99,7 +98,7 @@ HotnessOrg::admit(PageMeta &page, Tick now)
     if (!app.initialized && app.hotAdmitted < app.hotInitTarget) {
         telemetry::journeyMark(page.key.uid, page.key.pfn,
                                telemetry::JourneyStep::Hot, now);
-        arena.setLevel(page, Hotness::Hot);
+        page.level = Hotness::Hot;
         app.hot.pushFront(page);
         ++app.hotAdmitted;
         if (app.hotAdmitted >= app.hotInitTarget)
@@ -111,13 +110,13 @@ HotnessOrg::admit(PageMeta &page, Tick now)
         // Fresh allocations during a relaunch are relaunch data.
         telemetry::journeyMark(page.key.uid, page.key.pfn,
                                telemetry::JourneyStep::Hot, now);
-        arena.setLevel(page, Hotness::Hot);
+        page.level = Hotness::Hot;
         app.hot.pushFront(page);
         noteRelaunchTouch(app, page);
     } else {
         telemetry::journeyMark(page.key.uid, page.key.pfn,
                                telemetry::JourneyStep::Cold, now);
-        arena.setLevel(page, Hotness::Cold);
+        page.level = Hotness::Cold;
         app.cold.pushFront(page);
     }
 }
@@ -127,16 +126,15 @@ HotnessOrg::touchResident(PageMeta &page, Tick now)
 {
     AppLists &app = listsFor(page.key.uid);
     app.lastAccess = now;
-    arena.setLastAccess(page, now);
     noteRelaunchTouch(app, page);
 
-    Hotness level = arena.level(page);
+    Hotness level = page.level;
     if (app.relaunchActive && level != Hotness::Hot) {
         // Data used during relaunch belongs on the hot list.
         listOf(app, level).remove(page);
         telemetry::journeyMark(page.key.uid, page.key.pfn,
                                telemetry::JourneyStep::Hot, now);
-        arena.setLevel(page, Hotness::Hot);
+        page.level = Hotness::Hot;
         app.hot.pushFront(page);
         return;
     }
@@ -154,7 +152,7 @@ HotnessOrg::touchResident(PageMeta &page, Tick now)
         app.cold.remove(page);
         telemetry::journeyMark(page.key.uid, page.key.pfn,
                                telemetry::JourneyStep::Warm, now);
-        arena.setLevel(page, Hotness::Warm);
+        page.level = Hotness::Warm;
         app.warm.pushFront(page);
         break;
     }
@@ -165,13 +163,12 @@ HotnessOrg::placeAfterSwapIn(PageMeta &page, Tick now)
 {
     AppLists &app = listsFor(page.key.uid);
     app.lastAccess = now;
-    arena.setLastAccess(page, now);
     noteRelaunchTouch(app, page);
 
     Hotness level = app.relaunchActive ? Hotness::Hot : Hotness::Warm;
     telemetry::journeyMark(page.key.uid, page.key.pfn,
                            journeyLevel(level), now);
-    arena.setLevel(page, level);
+    page.level = level;
     listOf(app, level).pushFront(page);
 }
 
@@ -179,10 +176,9 @@ void
 HotnessOrg::placeColdSibling(PageMeta &page, Tick now)
 {
     AppLists &app = listsFor(page.key.uid);
-    arena.setLastAccess(page, now);
     telemetry::journeyMark(page.key.uid, page.key.pfn,
                            telemetry::JourneyStep::Cold, now);
-    arena.setLevel(page, Hotness::Cold);
+    page.level = Hotness::Cold;
     app.cold.pushFront(page);
 }
 
@@ -208,14 +204,14 @@ HotnessOrg::beginRelaunch(AppId uid, Tick now)
     // list and adds the data from this relaunch to the hot list."
     // Pages already on warm keep their Warm level, so demoting the
     // hot list *before* the splice touches exactly the pages whose
-    // level changes — a dense SoA write per page instead of a walk
+    // level changes — one level write per hot page instead of a walk
     // over the whole combined warm list.
     telemetry::ScopedTimer timer(d_decay);
     std::uint64_t walked = 0;
     for (PageMeta *p = app.hot.front(); p; p = p->lruNext) {
         telemetry::journeyMark(p->key.uid, p->key.pfn,
                                telemetry::JourneyStep::Warm, now);
-        arena.setLevel(*p, Hotness::Warm);
+        p->level = Hotness::Warm;
         ++walked;
     }
     c_decayPages.add(walked);

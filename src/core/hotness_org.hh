@@ -41,12 +41,9 @@ class HotnessOrg
     /**
      * @param op_counter Shared LRU operation counter (CPU charging).
      * @param profiles Hot-set size estimates for initialization.
-     * @param page_arena Arena owning the pages' SoA scan metadata
-     *        (hotness levels live there, not in PageMeta).
      */
-    HotnessOrg(Counter *op_counter, ProfileStore &profiles,
-               PageArena &page_arena)
-        : ops(op_counter), profileStore(profiles), arena(page_arena)
+    HotnessOrg(Counter *op_counter, ProfileStore &profiles)
+        : ops(op_counter), profileStore(profiles)
     {}
 
     /** New resident page admitted (first allocation). */
@@ -136,7 +133,6 @@ class HotnessOrg
 
     Counter *ops;
     ProfileStore &profileStore;
-    PageArena &arena;
     /** Sorted by uid. LruList is address-stable (intrusive heads), so
      * entries live behind unique_ptr; victim scans walk the flat
      * vector in uid order exactly as the old std::map iteration did. */

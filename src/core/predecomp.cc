@@ -18,7 +18,7 @@ PreDecomp::evictOldest()
             continue; // stale entry (already consumed/invalidated)
         present.erase(it);
         // Unused staging: revert to the compressed copy.
-        arena.setLocation(*oldest, PageLocation::Zpool);
+        oldest->location = PageLocation::Zpool;
         ++wasteCount;
         return;
     }
@@ -29,11 +29,11 @@ PreDecomp::stage(PageMeta &page)
 {
     if (capacity == 0 || present.contains(&page))
         return false;
-    panicIf(arena.location(page) != PageLocation::Zpool,
+    panicIf(page.location != PageLocation::Zpool,
             "PreDecomp::stage expects a zpool-resident page");
     while (present.size() >= capacity)
         evictOldest();
-    arena.setLocation(page, PageLocation::Staged);
+    page.location = PageLocation::Staged;
     order.push_back(&page);
     present.emplace(&page, true);
     ++stageCount;

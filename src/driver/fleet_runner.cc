@@ -324,9 +324,8 @@ FleetRunner::runPartialInto(report::FleetPartial &partial,
 
     auto worker = [&](unsigned t) {
         // One arena per worker thread, recycled across every session
-        // this worker runs: slabs and SoA arrays reach steady-state
-        // capacity after the first session and later sessions allocate
-        // nothing. Sessions only read/write their own arena, so the
+        // this worker runs: slabs reach steady-state capacity after
+        // the first session and later sessions allocate nothing. Sessions only read/write their own arena, so the
         // aggregate stays bit-identical to private-arena runs.
         PageArena workerArena;
         // The compressed-size table rides along with the arena: same

@@ -239,9 +239,9 @@ class FleetRunner
   private:
     /** @p arena Optional slab arena to build the session's
      * MobileSystem on. Fleet workers pass their thread's arena so
-     * page-metadata slabs (and the SoA scan arrays) are allocated
-     * once per worker and recycled across every session it runs;
-     * nullptr makes the session own a private arena. @p sizes is the
+     * page-metadata slabs are allocated once per worker and recycled
+     * across every session it runs; nullptr makes the session own a
+     * private arena. @p sizes is the
      * worker's compressed-size table on the same terms (nullptr keeps
      * sizes within the session; reports are identical either way), and
      * @p codecs the worker's codec helpers (nullptr sizes inline). */

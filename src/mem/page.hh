@@ -54,15 +54,11 @@ struct PageKey
 };
 
 /**
- * Metadata record for one anonymous page. Contains intrusive LRU
- * hooks managed exclusively by LruList.
- *
- * The fields the reclaim scan and the hotness-decay walk read —
- * hotness level, location, last access time — do NOT live here: they
- * sit in dense per-field arrays owned by PageArena, indexed by the
- * record's handle, so those walks touch a few contiguous cache lines
- * instead of one cold record per page. Access them through the
- * arena's level()/location()/lastAccess() accessors.
+ * Metadata record for one anonymous page: identity, the scheme's
+ * view of it (list level, location) and intrusive LRU hooks managed
+ * exclusively by LruList. Schemes find victims by popping list
+ * tails, never by scanning records, so all of a page's state lives
+ * here (80 bytes on x86-64).
  */
 struct PageMeta
 {
@@ -71,6 +67,10 @@ struct PageMeta
     std::uint32_t version = 0;
     /** Ground-truth hotness assigned by the workload generator. */
     Hotness truth = Hotness::Cold;
+    /** Which hotness list the scheme currently keeps the page on. */
+    Hotness level = Hotness::Cold;
+    /** Where the page's data currently lives. */
+    PageLocation location = PageLocation::Resident;
     /** zpool object holding this page (invalid when not in zpool). */
     std::uint64_t objectId = UINT64_MAX;
     /** Index of this page inside a multi-page compressed object. */
@@ -83,9 +83,9 @@ struct PageMeta
     PageMeta *lruNext = nullptr;
     LruList *lruOwner = nullptr;
 
-    // Arena bookkeeping; only PageArena may touch these. The handle
+    // Arena bookkeeping; only PageArena may touch these. The index
     // survives free()/alloc() recycling of the record.
-    std::uint32_t arenaHandle = UINT32_MAX;
+    std::uint32_t arenaIndex = UINT32_MAX;
     bool arenaFree = false;
 };
 

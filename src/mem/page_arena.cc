@@ -8,40 +8,32 @@ namespace ariadne
 void
 PageArena::growSlab()
 {
-    fatalIf(slabs.size() * slabPages + slabPages >
-                std::size_t{invalidPageHandle},
-            "PageArena exhausted its 32-bit handle space");
+    fatalIf(slabs.size() * slabPages + slabPages > std::size_t{UINT32_MAX},
+            "PageArena exhausted its 32-bit index space");
     slabs.push_back(std::make_unique<PageMeta[]>(slabPages));
-    std::size_t records = slabs.size() * slabPages;
-    soaLevel.resize(records, Hotness::Cold);
-    soaLocation.resize(records, PageLocation::Resident);
-    soaLastAccess.resize(records, 0);
 }
 
 PageMeta *
 PageArena::alloc()
 {
     PageMeta *page;
-    PageHandle handle;
+    std::uint32_t index;
     if (freeHead) {
         page = freeHead;
         freeHead = page->lruNext;
-        handle = page->arenaHandle;
+        index = page->arenaIndex;
     } else {
         // After a reset() the fresh path re-walks slabs that were
         // handed out before, so records are re-initialized here, not
         // just on free-list recycling.
         if (freshUsed == slabs.size() * slabPages)
             growSlab();
-        handle = static_cast<PageHandle>(freshUsed);
+        index = static_cast<std::uint32_t>(freshUsed);
         ++freshUsed;
-        page = &slabs[handle >> slabShift][handle & slabMask];
+        page = &slabs[index >> slabShift][index & slabMask];
     }
     *page = PageMeta{};
-    page->arenaHandle = handle;
-    soaLevel[handle] = Hotness::Cold;
-    soaLocation[handle] = PageLocation::Resident;
-    soaLastAccess[handle] = 0;
+    page->arenaIndex = index;
     ++liveRecords;
     return page;
 }
@@ -49,9 +41,9 @@ PageArena::alloc()
 void
 PageArena::free(PageMeta &page)
 {
-    PageHandle handle = page.arenaHandle;
-    panicIf(handle >= totalRecords() ||
-                &slabs[handle >> slabShift][handle & slabMask] != &page,
+    std::uint32_t index = page.arenaIndex;
+    panicIf(index >= totalRecords() ||
+                &slabs[index >> slabShift][index & slabMask] != &page,
             "PageArena::free on a record not from this arena");
     panicIf(page.arenaFree, "PageArena::free: double free");
     panicIf(page.lruOwner != nullptr,
@@ -66,20 +58,10 @@ void
 PageArena::reset() noexcept
 {
     // Records do not need scrubbing here: alloc() fully re-initializes
-    // a record (and its SoA slots) whichever path hands it out.
+    // a record whichever path hands it out.
     freeHead = nullptr;
     freshUsed = 0;
     liveRecords = 0;
-}
-
-PageMeta &
-PageArena::fromHandle(PageHandle handle)
-{
-    panicIf(handle >= totalRecords(),
-            "PageArena::fromHandle: handle out of range");
-    PageMeta &page = slabs[handle >> slabShift][handle & slabMask];
-    panicIf(page.arenaFree, "PageArena::fromHandle: freed record");
-    return page;
 }
 
 std::vector<Pfn>

@@ -1,8 +1,7 @@
 /**
  * @file
  * Lightweight statistics package: event counters, exact sample
- * distributions, mergeable percentile sketches and fixed-bucket
- * histograms.
+ * distributions and mergeable percentile sketches.
  */
 
 #ifndef ARIADNE_SIM_STATS_HH
@@ -44,7 +43,7 @@ class Counter
  * Exact sample distribution: stores every sample and answers
  * percentile queries by rank. Costs memory proportional to the sample
  * count, so it is meant for per-run aggregates (relaunch latencies,
- * per-session CPU), not per-page events — use Histogram for those.
+ * per-session CPU), not per-page events.
  */
 class Distribution
 {
@@ -210,54 +209,6 @@ class PercentileSketch
     /** Per-level compaction counters; parity picks the surviving
      * offset, alternating deterministically. */
     std::vector<std::uint64_t> compactions;
-};
-
-/**
- * Fixed-bucket histogram over [0, bucketWidth * buckets); samples past
- * the top land in an overflow bucket.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param bucket_width Width of each bucket.
-     * @param bucket_count Number of regular buckets.
-     */
-    Histogram(double bucket_width, std::size_t bucket_count);
-
-    /** Record one sample. */
-    void sample(double v) noexcept;
-
-    /** Count in regular bucket @p i. */
-    std::uint64_t bucketCount(std::size_t i) const;
-
-    /** Count of samples beyond the last regular bucket. */
-    std::uint64_t overflowCount() const noexcept { return overflow; }
-
-    /** Total samples recorded. */
-    std::uint64_t samples() const noexcept { return total; }
-
-    std::size_t bucketCountTotal() const noexcept { return bins.size(); }
-    double bucketWidth() const noexcept { return width; }
-
-    /** Fraction of samples at or below @p v (inclusive CDF estimate). */
-    double cdfAt(double v) const noexcept;
-
-    /**
-     * Bucket-resolution nearest-rank percentile: the upper edge of the
-     * first bucket whose cumulative count reaches p * samples. Overflow
-     * samples saturate at the histogram's top edge.
-     */
-    double percentile(double p) const noexcept;
-
-    /** Reset all buckets. */
-    void reset() noexcept;
-
-  private:
-    double width;
-    std::vector<std::uint64_t> bins;
-    std::uint64_t overflow = 0;
-    std::uint64_t total = 0;
 };
 
 } // namespace ariadne

@@ -57,7 +57,7 @@ void
 AppLruScheme::readmit(PageMeta &page)
 {
     takeDramPage();
-    ctx.arena.setLocation(page, PageLocation::Resident);
+    page.location = PageLocation::Resident;
     AppLruScheme::onAdmit(page);
     chargeLruOps();
 }
@@ -65,7 +65,7 @@ AppLruScheme::readmit(PageMeta &page)
 void
 AppLruScheme::onFree(PageMeta &page)
 {
-    if (ctx.arena.location(page) == PageLocation::Resident) {
+    if (page.location == PageLocation::Resident) {
         AppState &app = stateFor(page.key.uid);
         if (app.resident.contains(page))
             app.resident.remove(page);
@@ -76,7 +76,7 @@ AppLruScheme::onFree(PageMeta &page)
     telemetry::journeyMark(page.key.uid, page.key.pfn,
                            telemetry::JourneyStep::Free,
                            ctx.clock.now());
-    ctx.arena.setLocation(page, PageLocation::Lost);
+    page.location = PageLocation::Lost;
 }
 
 } // namespace ariadne

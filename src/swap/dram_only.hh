@@ -25,24 +25,16 @@ class DramOnlyScheme : public SwapScheme
 
     std::string name() const override { return "dram"; }
 
-    void
-    onAdmit(PageMeta &page) override
-    {
-        ctx.arena.setLastAccess(page, ctx.clock.now());
-    }
+    void onAdmit(PageMeta &) override {}
 
-    void
-    onAccess(PageMeta &page) override
-    {
-        ctx.arena.setLastAccess(page, ctx.clock.now());
-    }
+    void onAccess(PageMeta &) override {}
 
     void
     onFree(PageMeta &page) override
     {
-        if (ctx.arena.location(page) == PageLocation::Resident)
+        if (page.location == PageLocation::Resident)
             ctx.dram.release(1);
-        ctx.arena.setLocation(page, PageLocation::Lost);
+        page.location = PageLocation::Lost;
     }
 
   private:

@@ -64,7 +64,7 @@ FlashSwapScheme::storeUnit(std::span<PageMeta *const> pages,
     telemetry::journeyMark(victim.key.uid, victim.key.pfn,
                            telemetry::JourneyStep::Flash,
                            ctx.clock.now());
-    ctx.arena.setLocation(victim, PageLocation::Flash);
+    victim.location = PageLocation::Flash;
     victim.flashSlot = slot;
     return true;
 }
@@ -72,7 +72,7 @@ FlashSwapScheme::storeUnit(std::span<PageMeta *const> pages,
 SwapInResult
 FlashSwapScheme::fetch(PageMeta &page)
 {
-    panicIf(ctx.arena.location(page) != PageLocation::Flash,
+    panicIf(page.location != PageLocation::Flash,
             "FlashSwapScheme::swapIn on non-flash page");
     telemetry::ScopedTimer timer(d_swapin);
     SwapInResult res;
@@ -95,7 +95,7 @@ FlashSwapScheme::fetch(PageMeta &page)
 void
 FlashSwapScheme::releaseStored(PageMeta &page)
 {
-    if (ctx.arena.location(page) == PageLocation::Flash) {
+    if (page.location == PageLocation::Flash) {
         flashDev.free(page.flashSlot);
         page.flashSlot = invalidFlashSlot;
     }

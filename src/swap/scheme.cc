@@ -142,7 +142,7 @@ SwapScheme::dropPage(PageMeta &page)
     telemetry::journeyMark(page.key.uid, page.key.pfn,
                            telemetry::JourneyStep::Lost,
                            ctx.clock.now());
-    ctx.arena.setLocation(page, PageLocation::Lost);
+    page.location = PageLocation::Lost;
     page.objectId = invalidObject;
     ++lost;
 }

@@ -137,7 +137,7 @@ ZramScheme::ensureZpoolSpace(std::size_t csize, bool synchronous)
             telemetry::journeyMark(victim->key.uid, victim->key.pfn,
                                    telemetry::JourneyStep::Writeback,
                                    ctx.clock.now());
-            ctx.arena.setLocation(*victim, PageLocation::Flash);
+            victim->location = PageLocation::Flash;
             victim->flashSlot = slot;
             victim->objectId = invalidObject;
         } else {
@@ -167,7 +167,7 @@ ZramScheme::storeUnit(std::span<PageMeta *const> pages,
     telemetry::journeyMark(victim.key.uid, victim.key.pfn,
                            telemetry::JourneyStep::Zram,
                            ctx.clock.now(), csize);
-    ctx.arena.setLocation(victim, PageLocation::Zpool);
+    victim.location = PageLocation::Zpool;
     victim.objectId = obj;
     compressedFifo.emplace_back(obj, &victim);
     compLog.push_back(CompressionEvent{victim.key, victim.truth});
@@ -198,14 +198,14 @@ ZramScheme::fetch(PageMeta &page)
     SwapInResult res;
     enterMajorFault();
 
-    if (ctx.arena.location(page) == PageLocation::Zpool) {
+    if (page.location == PageLocation::Zpool) {
         sectorLog.push_back(pool.sectorOf(page.objectId));
         std::size_t csize = pool.objectSize(page.objectId);
         pool.erase(page.objectId);
         page.objectId = invalidObject;
         chargeDecompression(page.key.uid, cfg.chunkBytes, pageSize,
                             csize, true);
-    } else if (ctx.arena.location(page) == PageLocation::Flash) {
+    } else if (page.location == PageLocation::Flash) {
         panicIf(!flashDev, "flash swap-in without writeback device");
         std::size_t csize =
             readFlash(*flashDev, page.flashSlot, ctx.timing.flashReadNs(1));
@@ -224,10 +224,10 @@ ZramScheme::fetch(PageMeta &page)
 void
 ZramScheme::releaseStored(PageMeta &page)
 {
-    if (ctx.arena.location(page) == PageLocation::Zpool) {
+    if (page.location == PageLocation::Zpool) {
         pool.erase(page.objectId);
         page.objectId = invalidObject;
-    } else if (ctx.arena.location(page) == PageLocation::Flash) {
+    } else if (page.location == PageLocation::Flash) {
         flashDev->free(page.flashSlot);
         page.flashSlot = invalidFlashSlot;
     }

@@ -92,7 +92,7 @@ MobileSystem::MobileSystem(const SystemConfig &config,
     makeScheme();
     reclaimDaemon = std::make_unique<Kswapd>(
         SwapContext{simClock, timing, cpuAccount, activity, *dramModel,
-                    *pageCompressor, arena},
+                    *pageCompressor},
         *swapScheme);
 
     for (const auto &p : appProfiles) {
@@ -114,8 +114,8 @@ MobileSystem::MobileSystem(const SystemConfig &config,
 void
 MobileSystem::makeScheme()
 {
-    SwapContext ctx{simClock, timing,     cpuAccount,     activity,
-                    *dramModel, *pageCompressor, arena};
+    SwapContext ctx{simClock,   timing,     cpuAccount,
+                    activity,   *dramModel, *pageCompressor};
 
     swapScheme = SchemeRegistry::instance().build(
         cfg.scheme, ctx, cfg.schemeParams, cfg.scale);
@@ -288,7 +288,7 @@ MobileSystem::processTouch(AppDir &dir, const TouchEvent &ev,
     PageMeta &meta = *slot;
     meta.truth = ev.truth;
 
-    switch (arena.location(meta)) {
+    switch (meta.location) {
       case PageLocation::Resident:
         cpuAccount.charge(CpuRole::AppExecution, cfg.pageTouchNs);
         simClock.advance(cfg.pageTouchNs);
@@ -307,7 +307,7 @@ MobileSystem::processTouch(AppDir &dir, const TouchEvent &ev,
             panicIf(!dramModel->allocate(1),
                     "allocation failed after direct reclaim");
         }
-        arena.setLocation(meta, PageLocation::Resident);
+        meta.location = PageLocation::Resident;
         swapScheme->onAdmit(meta);
         Tick rebuild = cfg.pageTouchNs + timing.params().dramPageCopyNs;
         cpuAccount.charge(CpuRole::AppExecution, rebuild);
@@ -339,7 +339,6 @@ MobileSystem::processTouch(AppDir &dir, const TouchEvent &ev,
       }
     }
     meta.version = ev.version;
-    arena.setLastAccess(meta, simClock.now());
     if (!inRelaunch)
         maybeKswapd();
     maybeSample();

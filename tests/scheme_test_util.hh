@@ -31,8 +31,7 @@ struct SchemeHarness
     SwapContext
     context()
     {
-        return SwapContext{clock, timing,     cpu,  activity,
-                           dram,  compressor, arena};
+        return SwapContext{clock, timing, cpu, activity, dram, compressor};
     }
 
     /** Create (or fetch) a page owned by @p uid. */
@@ -62,7 +61,7 @@ struct SchemeHarness
                 scheme.reclaim(32, true);
                 EXPECT_TRUE(dram.allocate(1));
             }
-            arena.setLocation(p, PageLocation::Resident);
+            p.location = PageLocation::Resident;
             scheme.onAdmit(p);
             result.push_back(&p);
         }

@@ -34,7 +34,7 @@ TEST(AriadneScheme, ColdBatchedIntoLargeUnits)
     EXPECT_EQ(freed, 8u);
     // Victims are the oldest cold pages, 4 per 16 KB unit.
     for (std::size_t i = 4; i < 12; ++i)
-        EXPECT_EQ(h.arena.location(*pages[i]), PageLocation::Zpool) << i;
+        EXPECT_EQ(pages[i]->location, PageLocation::Zpool) << i;
     // Two units of four pages = two compression ops.
     EXPECT_EQ(scheme.totalStats().compOps, 2u);
     EXPECT_EQ(scheme.totalStats().inBytes, 8 * pageSize);
@@ -51,7 +51,7 @@ TEST(AriadneScheme, EhlProtectsHotList)
     std::size_t freed = scheme.reclaim(16, false);
     EXPECT_EQ(freed, 8u); // only the 8 cold pages
     for (std::size_t i = 0; i < 8; ++i)
-        EXPECT_EQ(h.arena.location(*pages[i]), PageLocation::Resident) << i;
+        EXPECT_EQ(pages[i]->location, PageLocation::Resident) << i;
 }
 
 TEST(AriadneScheme, EhlEmergencyDirectReclaimTakesHot)
@@ -72,7 +72,7 @@ TEST(AriadneScheme, AlCompressesHotOnBackground)
     auto pages = h.admitPages(scheme, 1, 8);
     scheme.onBackground(1);
     for (PageMeta *p : pages)
-        EXPECT_EQ(h.arena.location(*p), PageLocation::Zpool);
+        EXPECT_EQ(p->location, PageLocation::Zpool);
     EXPECT_GT(scheme.backgroundReclaimCpuNs(), 0u);
     // Hot data compressed at SmallSize: single-page units.
     EXPECT_EQ(scheme.totalStats().compOps, 8u);
@@ -85,13 +85,13 @@ TEST(AriadneScheme, ColdUnitFaultResidentizesWholeUnit)
     scheme.seedProfile(1, 4);
     auto pages = h.admitPages(scheme, 1, 12);
     scheme.reclaim(8, false); // pages 4..11 into two cold units
-    ASSERT_EQ(h.arena.location(*pages[4]), PageLocation::Zpool);
+    ASSERT_EQ(pages[4]->location, PageLocation::Zpool);
 
     SwapInResult res = scheme.swapIn(*pages[4]);
     EXPECT_GT(res.latencyNs, 0u);
     // Fig. 9(b): the whole 4-page unit came back.
     for (std::size_t i = 4; i < 8; ++i)
-        EXPECT_EQ(h.arena.location(*pages[i]), PageLocation::Resident) << i;
+        EXPECT_EQ(pages[i]->location, PageLocation::Resident) << i;
     EXPECT_EQ(scheme.faultsByLevel(Hotness::Cold), 1u);
 }
 
@@ -106,11 +106,11 @@ TEST(AriadneScheme, PreDecompChainsThroughSequentialFaults)
     scheme.swapIn(*pages[0]);
     std::size_t staged_hits = 0;
     for (std::size_t i = 1; i < 16; ++i) {
-        if (h.arena.location(*pages[i]) == PageLocation::Staged) {
+        if (pages[i]->location == PageLocation::Staged) {
             SwapInResult res = scheme.swapIn(*pages[i]);
             EXPECT_TRUE(res.stagedHit);
             ++staged_hits;
-        } else if (h.arena.location(*pages[i]) == PageLocation::Resident) {
+        } else if (pages[i]->location == PageLocation::Resident) {
             scheme.onAccess(*pages[i]); // pre-swapped ahead
         } else {
             scheme.swapIn(*pages[i]);
@@ -127,7 +127,7 @@ TEST(AriadneScheme, StagedHitIsMuchCheaperThanFault)
     auto pages = h.admitPages(scheme, 1, 8);
     scheme.onBackground(1);
     SwapInResult fault = scheme.swapIn(*pages[0]);
-    ASSERT_EQ(h.arena.location(*pages[1]), PageLocation::Staged);
+    ASSERT_EQ(pages[1]->location, PageLocation::Staged);
     SwapInResult hit = scheme.swapIn(*pages[1]);
     EXPECT_TRUE(hit.stagedHit);
     EXPECT_LT(hit.latencyNs, fault.latencyNs / 2);
@@ -147,7 +147,7 @@ TEST(AriadneScheme, ZpoolOverflowSpillsColdUnitsToFlashFirst)
     // Some cold page must now be in flash; swapping it back works.
     PageMeta *flash_page = nullptr;
     for (PageMeta *p : pages) {
-        if (h.arena.location(*p) == PageLocation::Flash) {
+        if (p->location == PageLocation::Flash) {
             flash_page = p;
             break;
         }
@@ -155,7 +155,7 @@ TEST(AriadneScheme, ZpoolOverflowSpillsColdUnitsToFlashFirst)
     ASSERT_NE(flash_page, nullptr);
     SwapInResult res = scheme.swapIn(*flash_page);
     EXPECT_TRUE(res.fromFlash);
-    EXPECT_EQ(h.arena.location(*flash_page), PageLocation::Resident);
+    EXPECT_EQ(flash_page->location, PageLocation::Resident);
 }
 
 TEST(AriadneScheme, CompressedColdWritesLessFlashThanRaw)
@@ -183,7 +183,7 @@ TEST(AriadneScheme, RelaunchWindowRoutesFaultsToHot)
     scheme.reclaim(8, false);
     scheme.onRelaunchStart(1);
     scheme.swapIn(*pages[4]);
-    EXPECT_EQ(h.arena.level(*pages[4]), Hotness::Hot);
+    EXPECT_EQ(pages[4]->level, Hotness::Hot);
     scheme.onRelaunchEnd(1);
     auto predicted = scheme.predictedHotSet(1);
     EXPECT_EQ(predicted.size(), 1u);
@@ -206,10 +206,10 @@ TEST(AriadneScheme, OnFreeCleansUpEverywhere)
     scheme.reclaim(4, false); // one cold unit {2,3,4,5}
     // Freeing one page of a multi-page unit keeps the others valid.
     scheme.onFree(*pages[2]);
-    EXPECT_EQ(h.arena.location(*pages[2]), PageLocation::Lost);
+    EXPECT_EQ(pages[2]->location, PageLocation::Lost);
     SwapInResult res = scheme.swapIn(*pages[3]);
     (void)res;
-    EXPECT_EQ(h.arena.location(*pages[3]), PageLocation::Resident);
+    EXPECT_EQ(pages[3]->location, PageLocation::Resident);
     // Freeing a resident page releases DRAM.
     std::size_t used = h.dram.usedPages();
     scheme.onFree(*pages[9]);

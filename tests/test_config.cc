@@ -60,7 +60,6 @@ TEST(Config, TableFiveDefaults)
     // Table 5: S = 3 GB zpool.
     EXPECT_EQ(cfg.zpoolBytes, std::size_t{3} * 1024 * 1024 * 1024);
     EXPECT_TRUE(cfg.preDecompEnabled);
-    EXPECT_EQ(cfg.preDecompDepth, 1u); // one page at a time (§4.4)
 }
 
 TEST(ConfigDeath, RejectsBadMode)

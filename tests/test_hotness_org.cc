@@ -12,7 +12,7 @@ using namespace ariadne;
 class HotnessOrgTest : public ::testing::Test
 {
   protected:
-    HotnessOrgTest() : org(&ops, profiles, arena)
+    HotnessOrgTest() : org(&ops, profiles)
     {
         profiles.seed(1, 4);
     }
@@ -48,9 +48,9 @@ TEST_F(HotnessOrgTest, ColdTouchPromotesToWarm)
     for (Pfn i = 0; i < 8; ++i)
         org.admit(page(1, i), i);
     PageMeta &cold_page = *pages[6]; // beyond the hot seed
-    ASSERT_EQ(arena.level(cold_page), Hotness::Cold);
+    ASSERT_EQ(cold_page.level, Hotness::Cold);
     org.touchResident(cold_page, 100);
-    EXPECT_EQ(arena.level(cold_page), Hotness::Warm);
+    EXPECT_EQ(cold_page.level, Hotness::Warm);
     EXPECT_EQ(org.listSize(1, Hotness::Warm), 1u);
     EXPECT_EQ(org.listSize(1, Hotness::Cold), 3u);
 }
@@ -128,12 +128,12 @@ TEST_F(HotnessOrgTest, PlaceAfterSwapInDependsOnWindow)
         org.admit(page(1, i), i);
     PageMeta &p = page(1, 100);
     org.placeAfterSwapIn(p, 200); // outside a relaunch -> warm
-    EXPECT_EQ(arena.level(p), Hotness::Warm);
+    EXPECT_EQ(p.level, Hotness::Warm);
 
     PageMeta &q = page(1, 101);
     org.beginRelaunch(1, 300);
     org.placeAfterSwapIn(q, 301); // inside a relaunch -> hot
-    EXPECT_EQ(arena.level(q), Hotness::Hot);
+    EXPECT_EQ(q.level, Hotness::Hot);
     org.endRelaunch(1);
 }
 
@@ -142,7 +142,7 @@ TEST_F(HotnessOrgTest, ColdSiblingsStayCold)
     org.admit(page(1, 0), 0);
     PageMeta &sibling = page(1, 50);
     org.placeColdSibling(sibling, 10);
-    EXPECT_EQ(arena.level(sibling), Hotness::Cold);
+    EXPECT_EQ(sibling.level, Hotness::Cold);
 }
 
 TEST_F(HotnessOrgTest, UnlinkIsIdempotent)

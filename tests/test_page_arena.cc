@@ -17,31 +17,47 @@ TEST(PageArena, AllocGivesFreshRecordsWithStableHandles)
     PageMeta *b = arena.alloc();
     ASSERT_NE(a, b);
     EXPECT_EQ(arena.liveCount(), 2u);
-    EXPECT_NE(PageArena::handleOf(*a), PageArena::handleOf(*b));
-    EXPECT_EQ(&arena.fromHandle(PageArena::handleOf(*a)), a);
-    EXPECT_EQ(&arena.fromHandle(PageArena::handleOf(*b)), b);
-    EXPECT_EQ(arena.location(*a), PageLocation::Resident);
+    EXPECT_EQ(a->location, PageLocation::Resident);
     EXPECT_EQ(a->lruOwner, nullptr);
 }
 
-TEST(PageArena, SoaMetadataDefaultsAndRoundTrips)
+TEST(PageArena, PageStateDefaultsOnEveryAllocPath)
 {
+    // Page state lives in the record itself without growing it.
+    static_assert(sizeof(PageMeta) <= 80);
+    auto expect_fresh = [](const PageMeta &page) {
+        EXPECT_EQ(page.level, Hotness::Cold);
+        EXPECT_EQ(page.location, PageLocation::Resident);
+    };
+    auto dirty = [](PageMeta &page) {
+        page.level = Hotness::Hot;
+        page.location = PageLocation::Zpool;
+    };
+
     PageArena arena;
     PageMeta *a = arena.alloc();
-    // Fresh records start Cold / Resident / never-accessed.
-    EXPECT_EQ(arena.level(*a), Hotness::Cold);
-    EXPECT_EQ(arena.location(*a), PageLocation::Resident);
-    EXPECT_EQ(arena.lastAccess(*a), 0u);
-    arena.setLevel(*a, Hotness::Hot);
-    arena.setLocation(*a, PageLocation::Zpool);
-    arena.setLastAccess(*a, 12345);
-    EXPECT_EQ(arena.level(*a), Hotness::Hot);
-    EXPECT_EQ(arena.location(*a), PageLocation::Zpool);
-    EXPECT_EQ(arena.lastAccess(*a), 12345u);
-    // Neighbouring records are unaffected (distinct SoA slots).
+    expect_fresh(*a);
+    dirty(*a);
+    // A neighbouring record is unaffected.
     PageMeta *b = arena.alloc();
-    EXPECT_EQ(arena.level(*b), Hotness::Cold);
-    EXPECT_EQ(arena.location(*b), PageLocation::Resident);
+    expect_fresh(*b);
+
+    // A free-list-recycled record comes back fresh...
+    arena.free(*a);
+    PageMeta *recycled = arena.alloc();
+    ASSERT_EQ(recycled, a);
+    expect_fresh(*recycled);
+
+    // ...and so does a record handed out again after reset().
+    dirty(*recycled);
+    dirty(*b);
+    arena.reset();
+    PageMeta *first = arena.alloc();
+    PageMeta *second = arena.alloc();
+    ASSERT_EQ(first, a);
+    ASSERT_EQ(second, b);
+    expect_fresh(*first);
+    expect_fresh(*second);
 }
 
 TEST(PageArena, ResetRecyclesSlabsAndReinitializesRecords)
@@ -52,15 +68,14 @@ TEST(PageArena, ResetRecyclesSlabsAndReinitializesRecords)
     for (std::size_t i = 0; i < count; ++i) {
         PageMeta *page = arena.alloc();
         page->key = PageKey{9, static_cast<Pfn>(i)};
-        arena.setLevel(*page, Hotness::Hot);
-        arena.setLocation(*page, PageLocation::Flash);
-        arena.setLastAccess(*page, 777);
+        page->level = Hotness::Hot;
+        page->location = PageLocation::Flash;
         first.push_back(page);
     }
     const std::size_t slabs_before = arena.slabCount();
     arena.reset();
     EXPECT_EQ(arena.liveCount(), 0u);
-    // Slabs (and SoA arrays) are retained for reuse...
+    // Slabs are retained for reuse...
     EXPECT_EQ(arena.slabCount(), slabs_before);
     // ...and re-allocation hands back the same records, fully reset
     // to fresh defaults despite the dirt left by the first life.
@@ -68,9 +83,8 @@ TEST(PageArena, ResetRecyclesSlabsAndReinitializesRecords)
         PageMeta *page = arena.alloc();
         EXPECT_EQ(page, first[i]);
         EXPECT_EQ(page->key.pfn, PageKey{}.pfn);
-        EXPECT_EQ(arena.level(*page), Hotness::Cold);
-        EXPECT_EQ(arena.location(*page), PageLocation::Resident);
-        EXPECT_EQ(arena.lastAccess(*page), 0u);
+        EXPECT_EQ(page->level, Hotness::Cold);
+        EXPECT_EQ(page->location, PageLocation::Resident);
     }
     EXPECT_EQ(arena.slabCount(), slabs_before);
     EXPECT_EQ(arena.liveCount(), count);
@@ -92,44 +106,36 @@ TEST(PageArena, ResetAfterFreeDiscardsFreeList)
 
 TEST(PageArena, PointersStayValidAcrossSlabGrowth)
 {
-    // Allocate well past one slab and make sure early records (and
-    // their handles) survive every growth step.
+    // Allocate well past one slab and make sure early records
+    // survive every growth step.
     PageArena arena;
     std::vector<PageMeta *> pages;
-    std::vector<PageHandle> handles;
     const std::size_t count = PageArena::slabPages * 3 + 17;
     for (std::size_t i = 0; i < count; ++i) {
         PageMeta *page = arena.alloc();
         page->key = PageKey{1, static_cast<Pfn>(i)};
         pages.push_back(page);
-        handles.push_back(PageArena::handleOf(*page));
     }
     EXPECT_GE(arena.slabCount(), 4u);
     EXPECT_EQ(arena.liveCount(), count);
-    for (std::size_t i = 0; i < count; ++i) {
-        EXPECT_EQ(&arena.fromHandle(handles[i]), pages[i]);
+    for (std::size_t i = 0; i < count; ++i)
         EXPECT_EQ(pages[i]->key.pfn, static_cast<Pfn>(i));
-    }
 }
 
 TEST(PageArena, FreeListRecyclesRecords)
 {
     PageArena arena;
     PageMeta *a = arena.alloc();
-    PageHandle ha = PageArena::handleOf(*a);
     a->key = PageKey{7, 99};
     arena.free(*a);
     EXPECT_EQ(arena.liveCount(), 0u);
-    EXPECT_FALSE(arena.liveHandle(ha));
 
-    // The freed record comes back first, reset to a fresh PageMeta
-    // but keeping its handle identity.
+    // The freed record comes back first, reset to a fresh PageMeta.
     PageMeta *b = arena.alloc();
     EXPECT_EQ(b, a);
-    EXPECT_EQ(PageArena::handleOf(*b), ha);
     EXPECT_EQ(b->key.pfn, PageKey{}.pfn); // reset, not our 99
     EXPECT_EQ(b->lruOwner, nullptr);
-    EXPECT_TRUE(arena.liveHandle(ha));
+    EXPECT_EQ(arena.liveCount(), 1u);
     // No new slab was needed for the recycled record.
     EXPECT_EQ(arena.slabCount(), 1u);
 }
@@ -193,19 +199,8 @@ TEST(PageArenaDeathTest, ForeignRecordPanics)
     PageArena arena;
     arena.alloc();
     PageMeta stray;
-    stray.arenaHandle = 0; // plausible handle, wrong address
+    stray.arenaIndex = 0; // plausible index, wrong address
     EXPECT_DEATH(arena.free(stray), "not from this arena");
-}
-
-TEST(PageArenaDeathTest, StaleHandlePanics)
-{
-    PageArena arena;
-    PageMeta *page = arena.alloc();
-    PageHandle handle = PageArena::handleOf(*page);
-    arena.free(*page);
-    EXPECT_DEATH(arena.fromHandle(handle), "freed record");
-    EXPECT_DEATH(arena.fromHandle(PageHandle{12345}),
-                 "out of range");
 }
 
 TEST(PfnBitmap, SetTestAndSortedExtraction)

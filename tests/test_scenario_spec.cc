@@ -129,16 +129,25 @@ TEST(ScenarioSpec, SchemeKnobsAreValidatedAgainstTheSchema)
               std::size_t{192} << 20);
 
     // Unknown knobs name the scheme and list its valid knobs.
-    try {
-        ScenarioSpec::parseString("scheme = zram\n"
-                                  "scheme.config = EHL-1K-2K-16K\n"
-                                  "event = warmup\n");
-        FAIL() << "expected SpecError";
-    } catch (const SpecError &e) {
-        std::string msg = e.what();
-        EXPECT_NE(msg.find("scheme 'zram' has no knob 'config'"),
-                  std::string::npos);
-        EXPECT_NE(msg.find("zpool_mb"), std::string::npos);
+    const struct
+    {
+        const char *scheme;
+        const char *knob;
+    } unknown[] = {{"zram", "config"}, {"ariadne", "predecomp_depth"}};
+    for (const auto &u : unknown) {
+        try {
+            ScenarioSpec::parseString(std::string("scheme = ") +
+                                      u.scheme + "\nscheme." + u.knob +
+                                      " = 1\nevent = warmup\n");
+            FAIL() << "expected SpecError for " << u.knob;
+        } catch (const SpecError &e) {
+            std::string msg = e.what();
+            EXPECT_NE(msg.find(std::string("scheme '") + u.scheme +
+                               "' has no knob '" + u.knob + "'"),
+                      std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find("zpool_mb"), std::string::npos);
+        }
     }
     // Malformed values are typed errors, with the line named.
     EXPECT_THROW(ScenarioSpec::parseString("scheme = ariadne\n"

@@ -185,7 +185,7 @@ TEST(SwapAccounting, DirectReclaimAndFaultsCountWhatCallersSee)
                 direct_freed += scheme->reclaim(32, true);
                 ASSERT_TRUE(h.dram.allocate(1));
             }
-            h.arena.setLocation(p, PageLocation::Resident);
+            p.location = PageLocation::Resident;
             scheme->onAdmit(p);
             pages.push_back(&p);
         }
@@ -194,9 +194,9 @@ TEST(SwapAccounting, DirectReclaimAndFaultsCountWhatCallersSee)
 
         std::uint64_t flash_faults = 0;
         for (PageMeta *p : pages) {
-            if (h.arena.location(*p) == PageLocation::Resident)
+            if (p->location == PageLocation::Resident)
                 continue;
-            if (h.arena.location(*p) == PageLocation::Lost)
+            if (p->location == PageLocation::Lost)
                 continue;
             flash_faults += scheme->swapIn(*p).fromFlash;
         }
@@ -224,7 +224,7 @@ TEST(SwapAccounting, StagedHitsCountWhatCallersSee)
     // Sequential faults: PreDecomp stages the next unit ahead.
     std::uint64_t staged_hits = 0;
     for (PageMeta *p : pages) {
-        if (h.arena.location(*p) == PageLocation::Resident)
+        if (p->location == PageLocation::Resident)
             scheme->onAccess(*p);
         else
             staged_hits += scheme->swapIn(*p).stagedHit;
